@@ -16,7 +16,8 @@ from .bounds import (EfficiencyReport, FiniteKeyParams, LeakageProfile,
 from .coupling import (ContradictionReport, CopyChannelGap, Coupling,
                        contradiction_report, copy_vs_channel_gap,
                        independent_coupling_failure, maximal_coupling,
-                       min_mismatch_oracle, mismatch_probability)
+                       maximal_mismatch, min_mismatch_oracle,
+                       mismatch_probability)
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
                        binary_entropy, conditional_guessing_probability,
                        guessing_probability, load_distribution,
@@ -49,8 +50,9 @@ __all__ = [
     "guessing_probability", "helstrom_min_error", "identity_seed",
     "independent_coupling_failure", "kpa_next_bits", "leakage_profile",
     "load_distribution", "load_matrix", "markov_individual_bound",
-    "maximal_coupling", "measured_distance", "min_mismatch_oracle",
-    "mismatch_probability", "model_distance_to_uniform", "otp_encrypt",
+    "maximal_coupling", "maximal_mismatch", "measured_distance",
+    "min_mismatch_oracle", "mismatch_probability",
+    "model_distance_to_uniform", "otp_encrypt",
     "overlap", "pa_effect_on_guessing", "pipeline_efficiency",
     "required_epsilon", "sample_blocks", "save_distribution", "save_matrix",
     "spike_distribution", "statistical_distance", "toeplitz_hash",

@@ -41,16 +41,7 @@ def otp_encrypt(x: BitString, k: BitString) -> BitString:
     return x ^ k
 
 
-def spike_distribution(l: int, eps: float, k_star: BitString) -> Distribution:
-    """eps * point(k_star) + (1 - eps) * uniform over l-bit keys.
-
-    The worst-case key law: its distance from uniform is eps (1 - 2^-l)
-    while its guessing probability is eps + (1 - eps) 2^-l, so a single
-    construction exercises both ends of the bound.
-    """
-    if len(k_star) != l:
-        raise ValueError(f"k_star has {len(k_star)} bits, expected {l}")
-    return Distribution.spike(l, eps, k_star)
+spike_distribution = Distribution.spike
 
 
 def ciphertext_only_attack(c: BitString, p_x: Distribution,
@@ -122,6 +113,8 @@ def toeplitz_hash(k: BitString, seed: BitString, out_len: int) -> BitString:
     |k| + out_len - 1 bits.  Linear: hash(a xor b) = hash(a) xor hash(b).
     """
     lk = len(k)
+    if lk == 0:
+        raise ValueError("key must be nonempty")
     if out_len < 0 or out_len > lk:
         raise ValueError(f"out_len must be in [0, {lk}], got {out_len}")
     if len(seed) != lk + out_len - 1:

@@ -94,6 +94,17 @@ class LogProb:
         return self.log2_complement * LOG10_2
 
 
+def _root_plus_uniform(eps_bar: float, l: int, root: float) -> LogProb:
+    # eps_bar^(1/root) + 2^(-l) by log-sum-exp in base 2, capped at 1
+    if not 0.0 <= eps_bar <= 1.0:
+        raise ValueError(f"eps_bar must be in [0, 1], got {eps_bar}")
+    if l < 1:
+        raise ValueError("key length must be >= 1")
+    if eps_bar == 0.0:
+        return LogProb.from_log2(float(-l))
+    return LogProb.from_log2(log2_add(math.log2(eps_bar) / root, float(-l)))
+
+
 def yuen_upper_bound(eps_bar: float, l: int) -> LogProb:
     """Upper bound eps_bar + 2^(-l) on the average key-guess probability.
 
@@ -101,13 +112,7 @@ def yuen_upper_bound(eps_bar: float, l: int) -> LogProb:
     can beat the 2^(-l) uniform baseline.  Computed by log-sum-exp in
     base 2 so the 2^(-l) term survives any key length; capped at 1.
     """
-    if not 0.0 <= eps_bar <= 1.0:
-        raise ValueError(f"eps_bar must be in [0, 1], got {eps_bar}")
-    if l < 1:
-        raise ValueError("key length must be >= 1")
-    if eps_bar == 0.0:
-        return LogProb.from_log2(float(-l))
-    return LogProb.from_log2(log2_add(math.log2(eps_bar), float(-l)))
+    return _root_plus_uniform(eps_bar, l, 1.0)
 
 
 def markov_individual_bound(eps_bar: float, l: int) -> LogProb:
@@ -116,13 +121,7 @@ def markov_individual_bound(eps_bar: float, l: int) -> LogProb:
     Converting an averaged guarantee into an individual-run guarantee
     costs a cube root (two Markov-inequality steps).
     """
-    if not 0.0 <= eps_bar <= 1.0:
-        raise ValueError(f"eps_bar must be in [0, 1], got {eps_bar}")
-    if l < 1:
-        raise ValueError("key length must be >= 1")
-    if eps_bar == 0.0:
-        return LogProb.from_log2(float(-l))
-    return LogProb.from_log2(log2_add(math.log2(eps_bar) / 3.0, float(-l)))
+    return _root_plus_uniform(eps_bar, l, 3.0)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ class FiniteKeyParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("block length n must be >= 1")
-        if self.q < 0.0 or self.mu < 0.0 or self.q + self.mu > 1.0:
+        if not (self.q >= 0.0 and self.mu >= 0.0 and self.q + self.mu <= 1.0):
             raise ValueError("need 0 <= Q, 0 <= mu, Q + mu <= 1")
         for name in ("p_fail", "eps_cor"):
             v = getattr(self, name)
@@ -197,8 +196,8 @@ class FiniteKeyParams:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         if self.eps_bar is not None and not 0.0 < self.eps_bar <= 1.0:
             raise ValueError(f"eps_bar must be in (0, 1], got {self.eps_bar}")
-        if self.leak_ec is not None and self.leak_ec < 0.0:
-            raise ValueError("leak_ec must be >= 0")
+        if self.leak_ec is not None and not 0.0 <= self.leak_ec < math.inf:
+            raise ValueError("leak_ec must be finite and >= 0")
 
     @property
     def effective_leak_ec(self) -> float:
@@ -241,7 +240,7 @@ def epsilon_for_security_rate(s_target: float,
     more than 5% relative: that is the vanishing-rate regime, where the
     demanded per-bit security cannot be met at this block length.
     """
-    if s_target <= 0.0:
+    if not s_target > 0.0:
         raise ValueError("s_target must be positive")
 
     def key_len(eps: float) -> int:

@@ -51,22 +51,16 @@ def _emit(doc: dict, fmt: str) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _load_dist(path: str) -> probdist.Distribution:
+def _load(loader, path: str, kind: str):
+    """Read one input file, mapping its failures to validation errors."""
     try:
-        return probdist.load_distribution(path)
+        return loader(path)
     except FileNotFoundError:
-        raise CliError(f"distribution file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"malformed distribution file {path}: {exc}")
-
-
-def _load_matrix(path: str) -> quantum_detect.DensityMatrix:
-    try:
-        return quantum_detect.load_matrix(path)
-    except FileNotFoundError:
-        raise CliError(f"matrix file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"malformed matrix file {path}: {exc}")
+        raise CliError(f"{kind} file not found: {path}")
+    # a field of the wrong JSON type surfaces as TypeError or KeyError, an
+    # integer field written as 1e400 as OverflowError
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise CliError(f"malformed {kind} file {path}: {exc}")
 
 
 class CliError(Exception):
@@ -117,7 +111,7 @@ def _cmd_rate(args) -> dict:
 
 
 def _cmd_coupling(args) -> dict:
-    p = _load_dist(args.p)
+    p = _load(probdist.load_distribution, args.p, "distribution")
     if args.contradiction:
         report = coupling.contradiction_report(p)
         failure = coupling.independent_coupling_failure(p.outcome_bits)
@@ -130,14 +124,12 @@ def _cmd_coupling(args) -> dict:
         return doc
     if args.q is None:
         raise CliError("coupling needs --q FILE (or --contradiction)")
-    q = _load_dist(args.q)
-    delta = probdist.statistical_distance(p, q)
-    maximal = coupling.maximal_coupling(p, q)
+    q = _load(probdist.load_distribution, args.q, "distribution")
     doc = {"command": "coupling", "mode": "pair",
            "p_file": args.p, "q_file": args.q,
            "outcome_bits": p.outcome_bits,
-           "statistical_distance": delta,
-           "maximal_coupling_mismatch": coupling.mismatch_probability(maximal)}
+           "statistical_distance": probdist.statistical_distance(p, q),
+           "maximal_coupling_mismatch": coupling.maximal_mismatch(p, q)}
     # exact LP confirmation whenever the supports are oracle-sized
     if (p.support_size() <= coupling.ORACLE_SUPPORT_CAP
             and q.support_size() <= coupling.ORACLE_SUPPORT_CAP):
@@ -146,8 +138,8 @@ def _cmd_coupling(args) -> dict:
 
 
 def _cmd_detect(args) -> dict:
-    rho = _load_matrix(args.rho)
-    sigma = _load_matrix(args.sigma)
+    rho = _load(quantum_detect.load_matrix, args.rho, "matrix")
+    sigma = _load(quantum_detect.load_matrix, args.sigma, "matrix")
     doc = {"command": "detect", "rho_file": args.rho,
            "sigma_file": args.sigma, "dim": rho.dim, "prior1": args.prior1,
            "trace_distance": quantum_detect.trace_distance_q(rho, sigma),
@@ -155,12 +147,7 @@ def _cmd_detect(args) -> dict:
                rho, sigma, args.prior1),
            "overlap": quantum_detect.overlap(rho, sigma)}
     if args.povm is not None:
-        try:
-            povm = quantum_detect.load_povm(args.povm)
-        except FileNotFoundError:
-            raise CliError(f"POVM file not found: {args.povm}")
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise CliError(f"malformed POVM file {args.povm}: {exc}")
+        povm = _load(quantum_detect.load_povm, args.povm, "POVM")
         doc["povm_file"] = args.povm
         doc["measured_distance"] = quantum_detect.measured_distance(
             rho, sigma, povm)
@@ -184,8 +171,9 @@ def _cmd_attack(args) -> dict:
             raise CliError("ciphertext-only mode needs --ciphertext, "
                            "--plaintext-dist and --key-dist")
         c = BitString.from_str(args.ciphertext)
-        p_x = _load_dist(args.plaintext_dist)
-        p_k = _load_dist(args.key_dist)
+        p_x = _load(probdist.load_distribution, args.plaintext_dist,
+                    "distribution")
+        p_k = _load(probdist.load_distribution, args.key_dist, "distribution")
         report = attacks.ciphertext_only_attack(c, p_x, p_k)
         doc = {"command": "attack", "mode": "ciphertext-only",
                "ciphertext": args.ciphertext,
@@ -196,7 +184,7 @@ def _cmd_attack(args) -> dict:
     if args.mode == "kpa":
         if args.key_dist is None or args.known_prefix is None:
             raise CliError("kpa mode needs --key-dist and --known-prefix")
-        p_k = _load_dist(args.key_dist)
+        p_k = _load(probdist.load_distribution, args.key_dist, "distribution")
         prefix = BitString.from_str(args.known_prefix)
         report = attacks.kpa_next_bits(p_k, prefix)
         doc = {"command": "attack", "mode": "kpa",
@@ -383,10 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except bounds.NoSolutionError as exc:
         print(f"no-solution: {exc}", file=sys.stderr)
         return 3
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(doc, args.format)

@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 
 from .bounds import LogProb
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
+                       _check_same_space, _total_variation,
                        statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
@@ -51,6 +52,17 @@ def mismatch_probability(c: Coupling) -> float:
     return min(1.0, max(0.0, 1.0 - agree))
 
 
+def maximal_mismatch(p: Distribution, q: Distribution) -> float:
+    """Pr[X != Y] under ``maximal_coupling(p, q)``, read off its diagonal.
+
+    The diagonal is min(p(x), q(x)), so the mismatch 1 - sum_x min(p, q)
+    needs no 2^l x 2^l joint law and works up to the dense cap.
+    """
+    _check_same_space(p, q)
+    agree = float(np.minimum(p.masses, q.masses).sum())
+    return min(1.0, max(0.0, 1.0 - agree))
+
+
 def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
     """Coupling achieving Pr[X != Y] = statistical_distance(p, q).
 
@@ -59,9 +71,7 @@ def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
     product normalized by the total variation distance.  When p = q the
     residual vanishes and the coupling is purely diagonal.
     """
-    if p.outcome_bits != q.outcome_bits:
-        raise ValueError(
-            f"outcome spaces differ: {p.outcome_bits} vs {q.outcome_bits} bits")
+    _check_same_space(p, q)
     a, b = p.masses, q.masses
     overlap = np.minimum(a, b)
     excess_p = a - overlap
@@ -82,9 +92,7 @@ def min_mismatch_oracle(p: Distribution, q: Distribution) -> float:
     Restricted to supports of at most 6 outcomes so the solve stays
     desk-scale exact.
     """
-    if p.outcome_bits != q.outcome_bits:
-        raise ValueError(
-            f"outcome spaces differ: {p.outcome_bits} vs {q.outcome_bits} bits")
+    _check_same_space(p, q)
     a, b = p.masses, q.masses
     supp_p = np.flatnonzero(a)
     supp_q = np.flatnonzero(b)
@@ -131,7 +139,7 @@ def copy_vs_channel_gap(p: Distribution, w: ConditionalChannel) -> CopyChannelGa
     a = p.masses
     copy_joint = np.diag(a)
     channel_joint = a[:, None] * w.matrix
-    delta_joint = float(0.5 * np.abs(copy_joint - channel_joint).sum())
+    delta_joint = _total_variation(copy_joint, channel_joint)
     mismatch = min(1.0, max(0.0, 1.0 - float((a * np.diag(w.matrix)).sum())))
     return CopyChannelGap(delta_joint=delta_joint, mismatch=mismatch)
 
@@ -167,7 +175,7 @@ def contradiction_report(p_k: Distribution) -> ContradictionReport:
     l = p_k.outcome_bits
     uniform = Distribution.uniform(l)
     delta = statistical_distance(p_k, uniform)
-    mismatch = mismatch_probability(maximal_coupling(p_k, uniform))
+    mismatch = maximal_mismatch(p_k, uniform)
     failure = independent_coupling_failure(l)
     return ContradictionReport(delta=delta, maximal_mismatch=mismatch,
                                independent_failure=failure.value)

@@ -32,11 +32,23 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
     return idx
 
 
+def _validated_masses(arr: np.ndarray) -> np.ndarray:
+    # NaN fails ``>= 0``, so it is rejected together with negative masses.
+    if not np.all(arr >= 0):
+        raise ValueError("negative or NaN probability mass")
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise ValueError(f"masses sum to {total!r}, outside 1 +- {SUM_TOLERANCE}")
+    if total != 1.0:
+        arr = arr / total
+    return arr
+
+
 class Distribution:
     """Probability mass function over bitstrings of a fixed length.
 
     Dense form stores one float per outcome; the constructor rejects
-    negative masses and totals off by more than 1e-9, and renormalizes
+    negative or NaN masses and totals off by more than 1e-9, and renormalizes
     smaller deviations.  Spike form stores (spike outcome, eps) and
     represents eps * point(outcome) + (1 - eps) * uniform; its lookups
     are computed with the exact expressions used by ``expand_dense``,
@@ -56,15 +68,8 @@ class Distribution:
         if arr.shape != (1 << outcome_bits,):
             raise ValueError(
                 f"expected {1 << outcome_bits} masses, got {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("negative probability mass")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"masses sum to {total!r}, outside 1 +- {SUM_TOLERANCE}")
-        if total != 1.0:
-            arr = arr / total
         self.outcome_bits = outcome_bits
-        self._dense = arr
+        self._dense = _validated_masses(arr)
         self._dense.flags.writeable = False
         self._spike = None
 
@@ -81,7 +86,12 @@ class Distribution:
 
     @classmethod
     def spike(cls, outcome_bits: int, epsilon: float, outcome) -> Distribution:
-        """eps-weighted point mass on ``outcome`` over uniform background."""
+        """eps * point(outcome) + (1 - eps) * uniform over l-bit outcomes.
+
+        The worst-case key law: its distance from uniform is eps (1 - 2^-l)
+        while its guessing probability is eps + (1 - eps) 2^-l, so a single
+        construction exercises both ends of the bound.
+        """
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         idx = _outcome_index(outcome, outcome_bits)
@@ -184,16 +194,9 @@ class JointDistribution:
         if arr.shape != (1 << x_bits, 1 << y_bits):
             raise ValueError(
                 f"expected shape {(1 << x_bits, 1 << y_bits)}, got {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("negative probability mass")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"masses sum to {total!r}, outside 1 +- {SUM_TOLERANCE}")
-        if total != 1.0:
-            arr = arr / total
         self.x_bits = x_bits
         self.y_bits = y_bits
-        self.masses = arr
+        self.masses = _validated_masses(arr)
         self.masses.flags.writeable = False
 
     @classmethod
@@ -260,14 +263,23 @@ class ConditionalChannel:
 # -- operations ------------------------------------------------------------
 
 
-def statistical_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance (1/2) sum_x |p(x) - q(x)|."""
+def _check_same_space(p: Distribution, q: Distribution) -> None:
     if p.outcome_bits != q.outcome_bits:
         raise ValueError(
             f"outcome spaces differ: {p.outcome_bits} vs {q.outcome_bits} bits")
+
+
+def statistical_distance(p: Distribution, q: Distribution) -> float:
+    """Total variation distance (1/2) sum_x |p(x) - q(x)|."""
+    _check_same_space(p, q)
     if p.outcome_bits <= DENSE_BITS_CAP:
-        return float(0.5 * np.abs(p.masses - q.masses).sum())
+        return _total_variation(p.masses, q.masses)
     return _spike_pair_distance(p, q)
+
+
+def _total_variation(a, b) -> float:
+    # (1/2) sum |a - b| over arrays of masses (or a scalar background).
+    return float(0.5 * np.abs(a - b).sum())
 
 
 def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
@@ -332,10 +344,21 @@ def dumps_distribution(dist: Distribution) -> str:
         dist.outcome_bits, body)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _read_document(text: str, kind: str, *fields: str) -> dict:
+    """Parse a JSON object carrying ``fields``; NaN and Infinity are refused."""
+    doc = json.loads(text, parse_constant=_reject_constant)
+    if not isinstance(doc, dict) or any(f not in doc for f in fields):
+        raise ValueError(
+            f"{kind} file must be a JSON object with fields {', '.join(fields)}")
+    return doc
+
+
 def loads_distribution(text: str) -> Distribution:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "outcome_bits" not in doc:
-        raise ValueError("distribution file must carry an outcome_bits field")
+    doc = _read_document(text, "distribution", "outcome_bits")
     bits = int(doc["outcome_bits"])
     if "masses" in doc:
         return Distribution(bits, doc["masses"])

@@ -9,12 +9,11 @@ and every quantity then collapses to its probdist counterpart.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
-from .probdist import Distribution
+from .probdist import Distribution, _fmt, _read_document, _total_variation
 
 DIM_CAP = 16
 HERMITIAN_TOL = 1e-10
@@ -24,6 +23,8 @@ def _as_square_complex(entries, what: str) -> np.ndarray:
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} has non-finite entries")
     return mat
 
 
@@ -126,12 +127,16 @@ def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
 
 
+def _trace_norm(mat: np.ndarray) -> float:
+    # sum |eigenvalues| of the Hermitian part
+    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    return np.abs(eigs).sum()
+
+
 def trace_distance_q(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) sum |eigenvalues of (rho - sigma)|."""
     _check_dims(rho, sigma)
-    diff = rho.mat - sigma.mat
-    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(0.5 * np.abs(eigs).sum())
+    return float(0.5 * _trace_norm(rho.mat - sigma.mat))
 
 
 def helstrom_min_error(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -145,8 +150,7 @@ def helstrom_min_error(rho1: DensityMatrix, rho2: DensityMatrix,
     if not 0.0 <= prior1 <= 1.0:
         raise ValueError(f"prior must be in [0, 1], got {prior1}")
     weighted = prior1 * rho1.mat - (1.0 - prior1) * rho2.mat
-    eigs = np.linalg.eigvalsh(0.5 * (weighted + weighted.conj().T))
-    return float(0.5 * (1.0 - np.abs(eigs).sum()))
+    return float(0.5 * (1.0 - _trace_norm(weighted)))
 
 
 def measured_distance(rho: DensityMatrix, sigma: DensityMatrix,
@@ -156,9 +160,8 @@ def measured_distance(rho: DensityMatrix, sigma: DensityMatrix,
     Measuring can only blur: this never exceeds trace_distance_q.
     """
     _check_dims(rho, sigma)
-    p = m.outcome_probabilities(rho)
-    q = m.outcome_probabilities(sigma)
-    return float(0.5 * np.abs(p - q).sum())
+    return _total_variation(m.outcome_probabilities(rho),
+                            m.outcome_probabilities(sigma))
 
 
 def overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -180,10 +183,6 @@ def overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # A POVM file is {"dim": d, "elements": [<entries>, <entries>, ...]}.
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")  # 17 significant digits
-
-
 def _entries_json(mat: np.ndarray) -> str:
     pairs = ", ".join(f"[{_fmt(v.real)}, {_fmt(v.imag)}]" for v in mat.ravel())
     return f"[{pairs}]"
@@ -202,9 +201,7 @@ def _parse_entries(dim: int, entries) -> np.ndarray:
 
 
 def loads_matrix(text: str) -> DensityMatrix:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise ValueError("matrix file must carry dim and entries fields")
+    doc = _read_document(text, "matrix", "dim", "entries")
     return DensityMatrix(_parse_entries(int(doc["dim"]), doc["entries"]))
 
 
@@ -219,9 +216,7 @@ def load_matrix(path: str | os.PathLike) -> DensityMatrix:
 
 
 def loads_povm(text: str) -> Povm:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "dim" not in doc or "elements" not in doc:
-        raise ValueError("POVM file must carry dim and elements fields")
+    doc = _read_document(text, "POVM", "dim", "elements")
     dim = int(doc["dim"])
     return Povm([_parse_entries(dim, e) for e in doc["elements"]])
 

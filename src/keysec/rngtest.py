@@ -22,7 +22,8 @@ import numpy as np
 from .bits import BitString
 from .bounds import LogProb
 from .coupling import independent_coupling_failure
-from .probdist import ConditionalChannel, Distribution, statistical_distance
+from .probdist import (ConditionalChannel, Distribution, _total_variation,
+                       statistical_distance)
 
 BLOCK_LEN_CAP = 16
 
@@ -33,8 +34,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of the SplitMix64 stream for seed."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+    z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
@@ -164,8 +167,7 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
 
 def empirical_distance(s: SampleSet) -> float:
     """Distance of the observed block frequencies from exact uniform."""
-    freq = s.counts() / s.count
-    return float(0.5 * np.abs(freq - 2.0 ** (-s.block_len)).sum())
+    return _total_variation(s.counts() / s.count, 2.0 ** (-s.block_len))
 
 
 @dataclass(frozen=True)

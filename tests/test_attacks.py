@@ -317,3 +317,9 @@ class TestAttackReportInvariants:
         report = ciphertext_only_attack(BitString.zeros(3), p_x, p_k)
         assert report.avg_success == pytest.approx(
             conditional_guessing_probability(j), abs=1e-12)
+
+
+class TestToeplitzEmptyKey:
+    def test_empty_key_message(self):
+        with pytest.raises(ValueError, match="key must be nonempty"):
+            toeplitz_hash(BitString(()), BitString(()), 0)

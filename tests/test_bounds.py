@@ -249,3 +249,19 @@ class TestRateSolver:
             replace(params, eps_bar=solution.eps_bar))
         assert recomputed == solution.l
         assert solution.rate == solution.l / params.n
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", ["q", "mu"])
+    def test_nan_error_rates_rejected(self, field):
+        with pytest.raises(ValueError, match="Q"):
+            FiniteKeyParams(n=1000, **{"q": 0.05, field: math.nan})
+
+    @pytest.mark.parametrize("leak", [math.inf, math.nan])
+    def test_non_finite_leak_rejected(self, leak):
+        with pytest.raises(ValueError, match="leak_ec"):
+            FiniteKeyParams(n=1000, q=0.05, leak_ec=leak)
+
+    def test_nan_security_rate_is_a_validation_error(self):
+        with pytest.raises(ValueError, match="s_target"):
+            epsilon_for_security_rate(math.nan, default_rate_params(10**7))

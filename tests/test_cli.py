@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keysec
 from keysec import Distribution, DensityMatrix, save_distribution, save_matrix
 from keysec.cli import main
 
@@ -231,3 +236,83 @@ class TestUsageErrors:
             main(["bounds", "--eps-bar", "0.1", "--key-len", "8",
                   "--bogus", "1"])
         assert exc.value.code == 2
+
+
+class TestDenseCapContradiction:
+    def test_twenty_bit_spike_file(self, capsys, tmp_path):
+        # the report reads the maximal coupling's diagonal, so no
+        # 2^20 x 2^20 joint law is allocated
+        eps = 2.0 ** -4
+        path = tmp_path / "s20.dist"
+        save_distribution(Distribution.spike(20, eps, 12345), path)
+        doc = machine(capsys, "coupling", "--p", str(path), "--contradiction")
+        expected = eps * (1 - 2.0 ** -20)
+        assert doc["delta_to_uniform"] == pytest.approx(expected, rel=1e-12)
+        assert doc["maximal_coupling_mismatch"] == pytest.approx(expected,
+                                                                 rel=1e-12)
+
+
+class TestMalformedFields:
+    """Well-formed JSON with fields of the wrong type or range: exit 2."""
+
+    @pytest.mark.parametrize("text", [
+        '{"outcome_bits": 2, "spike": {"outcome": 5, "epsilon": 0.1}}',
+        '{"outcome_bits": [1], "masses": [0.5, 0.5]}',
+        '{"outcome_bits": 1e400, "masses": [0.5, 0.5]}',
+        '{"outcome_bits": 1, "masses": [NaN, 1.0]}',
+    ])
+    def test_distribution_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.dist"
+        path.write_text(text)
+        code, out, err = run(capsys, "coupling", "--p", str(path),
+                             "--contradiction")
+        assert code == 2
+        assert "malformed distribution file" in err
+        assert out == ""
+
+    def test_matrix_entries_not_a_list(self, capsys, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_text('{"dim": 2, "entries": 5}')
+        code, _, err = run(capsys, "detect", "--rho", str(path),
+                           "--sigma", str(path))
+        assert code == 2
+        assert "malformed matrix file" in err
+
+    def test_povm_file_not_found(self, capsys, tmp_path):
+        rho = tmp_path / "rho.mat"
+        save_matrix(DensityMatrix.diagonal(np.array([1.0, 0.0])), rho)
+        code, _, err = run(capsys, "detect", "--rho", str(rho), "--sigma",
+                           str(rho), "--povm", str(tmp_path / "nope.povm"))
+        assert code == 2
+        assert "POVM file not found" in err
+
+
+class TestFlagBoundaries:
+    @pytest.mark.parametrize("argv, needle", [
+        (("rate", "--s-target", "nan", "--n", "10000000"), "s_target"),
+        (("rate", "--s-target", "1e-14", "--n", "10000000",
+          "--leak-ec", "inf"), "leak_ec"),
+        (("rngtest", "--block-len", "4", "--count", "10", "--seed", "-1"),
+         "seed"),
+        (("attack", "--mode", "hash", "--key", "", "--seed", "",
+          "--out-len", "0"), "nonempty"),
+    ])
+    def test_validation_exit_code(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert needle in err
+        assert out == ""
+
+
+def test_module_entry_point_report():
+    # ``python -m keysec.cli`` runs without the console script installed
+    src = str(Path(keysec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "keysec.cli", "--format", "text", "report"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()
+             if line.startswith("contradiction_maximal_mismatch")]
+    assert lines == [["contradiction_maximal_mismatch", "0.09375"]]

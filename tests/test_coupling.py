@@ -7,6 +7,7 @@ from keysec import (ConditionalChannel, ContradictionReport, Coupling,
                     copy_vs_channel_gap, independent_coupling_failure,
                     maximal_coupling, min_mismatch_oracle,
                     mismatch_probability, statistical_distance)
+from keysec import maximal_mismatch
 
 
 def random_coupling(rng, bits):
@@ -210,3 +211,21 @@ class TestContradictionReport:
             assert report.independent_failure == 0.9375
             deltas.add(round(report.delta, 12))
         assert len(deltas) > 40
+
+
+class TestMaximalMismatch:
+    def test_matches_the_built_coupling(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            bits = int(rng.integers(1, 7))
+            p = random_distribution(rng, bits, zero_outcomes=1)
+            q = random_distribution(rng, bits)
+            m = maximal_mismatch(p, q)
+            # the joint's renormalization may move the last bits only
+            assert m == pytest.approx(
+                mismatch_probability(maximal_coupling(p, q)), abs=1e-15)
+            assert m == pytest.approx(statistical_distance(p, q), abs=1e-15)
+
+    def test_spaces_must_agree(self):
+        with pytest.raises(ValueError, match="differ"):
+            maximal_mismatch(Distribution.uniform(1), Distribution.uniform(2))

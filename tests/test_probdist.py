@@ -328,3 +328,17 @@ class TestFileFormat:
         from keysec import load_distribution, save_distribution
         save_distribution(d, path)
         assert np.array_equal(load_distribution(path).masses, d.masses)
+
+
+class TestNonFiniteInput:
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            Distribution(1, [float("nan"), 1.0])
+        with pytest.raises(ValueError, match="negative"):
+            JointDistribution(1, 1, [[float("nan"), 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literal_rejected(self, literal):
+        with pytest.raises(ValueError, match="non-finite"):
+            loads_distribution(
+                '{"outcome_bits": 1, "masses": [%s, 1.0]}' % literal)

@@ -280,3 +280,18 @@ class TestFileFormat:
         from keysec.quantum_detect import loads_matrix
         with pytest.raises(ValueError):
             loads_matrix('{"dim": 2, "entries": [[1, 0]]}')
+
+
+class TestNonFiniteInput:
+    def test_density_matrix_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix([[float("nan"), 0.0], [0.0, 1.0]])
+
+    def test_povm_rejects_infinity(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm([[[float("inf"), 0.0], [0.0, 0.0]], np.eye(2)])
+
+    def test_matrix_file_rejects_nan_literal(self):
+        from keysec.quantum_detect import loads_matrix
+        with pytest.raises(ValueError, match="non-finite"):
+            loads_matrix('{"dim": 1, "entries": [[NaN, 0]]}')

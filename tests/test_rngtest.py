@@ -234,3 +234,17 @@ class TestSampleSetType:
         s = SampleSet.from_blocks(blocks, seed=1)
         assert s.blocks == blocks
         assert s.seed == 1
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            splitmix64(seed, 3)
+        with pytest.raises(ValueError, match="seed"):
+            sample_blocks(BernoulliSource(0.0), 4, 3, seed)
+
+    def test_largest_seed_accepted(self):
+        seed = (1 << 64) - 1
+        assert [int(v) for v in splitmix64(seed, 5)] == \
+            scalar_splitmix64(seed, 5)
