@@ -33,7 +33,6 @@ class AttackReport:
     map_guess: BitString
     map_posterior: float
     avg_success: float
-    posterior_table: Distribution | None = None
 
 
 def otp_encrypt(x: BitString, k: BitString) -> BitString:
@@ -75,7 +74,6 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
         map_guess=BitString.from_index(map_idx, l),
         map_posterior=float(posterior[map_idx]),
         avg_success=float(key_masses.max()),
-        posterior_table=Distribution(l, posterior),
     )
 
 
@@ -102,7 +100,6 @@ def kpa_next_bits(p_k: Distribution, known_prefix: BitString) -> AttackReport:
         map_guess=BitString.from_index(map_idx, rest_bits),
         map_posterior=map_post,
         avg_success=map_post,
-        posterior_table=Distribution(rest_bits, conditional),
     )
 
 

@@ -67,12 +67,6 @@ class LogProb:
         return cls(min(0.0, log2_value))
 
     @classmethod
-    def from_value(cls, p: float) -> LogProb:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"probability must be in (0, 1], got {p}")
-        return cls(math.log2(p))
-
-    @classmethod
     def one_minus_pow2(cls, l: int) -> LogProb:
         """1 - 2^(-l), complement exponent exact for any l."""
         x = 2.0 ** (-l)  # underflows to 0.0 for very large l; complement stays exact
@@ -94,12 +88,16 @@ class LogProb:
         return self.log2_complement * LOG10_2
 
 
+def _check_key_len(l: int) -> None:
+    if l < 1:
+        raise ValueError("key length must be >= 1")
+
+
 def _root_plus_uniform(eps_bar: float, l: int, root: float) -> LogProb:
     # eps_bar^(1/root) + 2^(-l) by log-sum-exp in base 2, capped at 1
     if not 0.0 <= eps_bar <= 1.0:
         raise ValueError(f"eps_bar must be in [0, 1], got {eps_bar}")
-    if l < 1:
-        raise ValueError("key length must be >= 1")
+    _check_key_len(l)
     if eps_bar == 0.0:
         return LogProb.from_log2(float(-l))
     return LogProb.from_log2(log2_add(math.log2(eps_bar) / root, float(-l)))
@@ -139,8 +137,7 @@ def leakage_profile(l: int, eps: float) -> LeakageProfile:
     worked figure of roughly 1,500 leaked bits per 10^4 at eps = 1e-2;
     the alternative reading l / log(1/l) is rejected (see README).
     """
-    if l < 1:
-        raise ValueError("key length must be >= 1")
+    _check_key_len(l)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be strictly inside (0, 1), got {eps}")
     f = -math.log2(eps)
@@ -149,8 +146,7 @@ def leakage_profile(l: int, eps: float) -> LeakageProfile:
 
 def required_epsilon(l: int) -> LogProb:
     """Guess probability of a perfectly uniform l-bit key: 2^(-l)."""
-    if l < 1:
-        raise ValueError("key length must be >= 1")
+    _check_key_len(l)
     return LogProb.from_log2(float(-l))
 
 

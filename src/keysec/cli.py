@@ -130,8 +130,9 @@ def _cmd_coupling(args) -> dict:
            "outcome_bits": p.outcome_bits,
            "statistical_distance": probdist.statistical_distance(p, q),
            "maximal_coupling_mismatch": coupling.maximal_mismatch(p, q)}
-    # exact LP confirmation whenever the supports are oracle-sized
-    if (p.support_size() <= coupling.ORACLE_SUPPORT_CAP
+    # exact LP confirmation whenever both laws are dense and oracle-sized
+    if (p.outcome_bits <= probdist.DENSE_BITS_CAP
+            and p.support_size() <= coupling.ORACLE_SUPPORT_CAP
             and q.support_size() <= coupling.ORACLE_SUPPORT_CAP):
         doc["oracle_min_mismatch"] = coupling.min_mismatch_oracle(p, q)
     return doc

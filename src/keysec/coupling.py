@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bounds import LogProb
-from .probdist import (ConditionalChannel, Distribution, JointDistribution,
-                       _check_same_space, _total_variation,
+from .bounds import LogProb, _check_key_len
+from .probdist import (DENSE_BITS_CAP, ConditionalChannel, Distribution,
+                       JointDistribution, _check_same_space, _total_variation,
                        statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
@@ -56,11 +56,27 @@ def maximal_mismatch(p: Distribution, q: Distribution) -> float:
     """Pr[X != Y] under ``maximal_coupling(p, q)``, read off its diagonal.
 
     The diagonal is min(p(x), q(x)), so the mismatch 1 - sum_x min(p, q)
-    needs no 2^l x 2^l joint law and works up to the dense cap.
+    needs no 2^l x 2^l joint law.  Up to the dense cap the sum runs over
+    the masses; above it both laws are spikes and the sum is closed form.
     """
     _check_same_space(p, q)
-    agree = float(np.minimum(p.masses, q.masses).sum())
+    if p.outcome_bits <= DENSE_BITS_CAP:
+        agree = float(np.minimum(p.masses, q.masses).sum())
+    else:
+        agree = _spike_pair_overlap(p, q)
     return min(1.0, max(0.0, 1.0 - agree))
+
+
+def _spike_pair_overlap(p: Distribution, q: Distribution) -> float:
+    # sum_x min(p(x), q(x)) for two spike laws; as in _spike_pair_distance,
+    # (2^l - 1) 2^-l and (2^l - 2) 2^-l are written 1 - u and 1 - 2u.
+    u = 2.0 ** (-p.outcome_bits)
+    (i1, e1), (i2, e2) = p.spike_params, q.spike_params
+    bg1, bg2 = p._background(), q._background()
+    rest = min(1.0 - e1, 1.0 - e2)
+    if i1 == i2:
+        return min(e1 + bg1, e2 + bg2) + (1.0 - u) * rest
+    return min(e1 + bg1, bg2) + min(bg1, e2 + bg2) + (1.0 - 2.0 * u) * rest
 
 
 def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
@@ -133,9 +149,7 @@ def copy_vs_channel_gap(p: Distribution, w: ConditionalChannel) -> CopyChannelGa
     if w.in_bits != w.out_bits:
         raise ValueError(
             f"channel must be square, got {w.in_bits} -> {w.out_bits} bits")
-    if p.outcome_bits != w.in_bits:
-        raise ValueError(
-            f"input has {p.outcome_bits} bits, channel expects {w.in_bits}")
+    w._check_input(p)
     a = p.masses
     copy_joint = np.diag(a)
     channel_joint = a[:, None] * w.matrix
@@ -150,8 +164,7 @@ def independent_coupling_failure(l: int) -> LogProb:
     Independent of the distribution of K, since sum_k P(k) 2^(-l) = 2^(-l)
     for every P(K).  Kept exact through the complement exponent -l.
     """
-    if l < 1:
-        raise ValueError("key length must be >= 1")
+    _check_key_len(l)
     return LogProb.one_minus_pow2(l)
 
 

@@ -64,7 +64,7 @@ class Distribution:
             raise ValueError(
                 f"dense storage capped at {DENSE_BITS_CAP} bits; "
                 "use Distribution.spike for larger spaces")
-        arr = np.asarray(masses, dtype=float)
+        arr = np.array(masses, dtype=float)  # private copy, frozen below
         if arr.shape != (1 << outcome_bits,):
             raise ValueError(
                 f"expected {1 << outcome_bits} masses, got {arr.shape}")
@@ -137,8 +137,12 @@ class Distribution:
         if self._dense is not None:
             return float(self._dense[idx])
         spike_idx, eps = self._spike
-        background = (1.0 - eps) * 2.0 ** (-self.outcome_bits)
+        background = self._background()
         return eps + background if idx == spike_idx else background
+
+    def _background(self) -> float:
+        # each non-spike mass; one expression, so both forms agree bit for bit
+        return (1.0 - self._spike[1]) * 2.0 ** (-self.outcome_bits)
 
     @property
     def masses(self) -> np.ndarray:
@@ -151,7 +155,7 @@ class Distribution:
             raise ValueError(
                 f"{self.outcome_bits}-bit space cannot be materialized")
         spike_idx, eps = self._spike
-        background = (1.0 - eps) * 2.0 ** (-self.outcome_bits)
+        background = self._background()
         arr = np.full(self.n_outcomes, background)
         arr[spike_idx] = eps + background
         return Distribution._raw_dense(self.outcome_bits, arr)
@@ -159,8 +163,7 @@ class Distribution:
     def max_prob(self) -> float:
         if self._dense is not None:
             return float(self._dense.max())
-        _, eps = self._spike
-        return eps + (1.0 - eps) * 2.0 ** (-self.outcome_bits)
+        return self._spike[1] + self._background()
 
     def map_outcome(self) -> BitString:
         """Most probable outcome; ties broken by lowest index."""
@@ -190,7 +193,7 @@ class JointDistribution:
     __slots__ = ("x_bits", "y_bits", "masses")
 
     def __init__(self, x_bits: int, y_bits: int, masses):
-        arr = np.asarray(masses, dtype=float)
+        arr = np.array(masses, dtype=float)
         if arr.shape != (1 << x_bits, 1 << y_bits):
             raise ValueError(
                 f"expected shape {(1 << x_bits, 1 << y_bits)}, got {arr.shape}")
@@ -217,15 +220,11 @@ class ConditionalChannel:
     __slots__ = ("in_bits", "out_bits", "matrix")
 
     def __init__(self, in_bits: int, out_bits: int, rows):
-        if isinstance(rows, (list, tuple)) and rows \
-                and isinstance(rows[0], Distribution):
-            mat = np.stack([r.masses for r in rows])
-        else:
-            mat = np.asarray(rows, dtype=float)
+        mat = np.array(rows, dtype=float)
         if mat.shape != (1 << in_bits, 1 << out_bits):
             raise ValueError(
                 f"expected shape {(1 << in_bits, 1 << out_bits)}, got {mat.shape}")
-        for i, row in enumerate(mat):
+        for row in mat:
             Distribution(out_bits, row)  # validates each row
         self.in_bits = in_bits
         self.out_bits = out_bits
@@ -242,20 +241,17 @@ class ConditionalChannel:
             raise ValueError("flip probability must be in [0, 1]")
         return cls(1, 1, np.array([[1 - flip, flip], [flip, 1 - flip]]))
 
-    def row(self, outcome) -> Distribution:
-        idx = _outcome_index(outcome, self.in_bits)
-        return Distribution(self.out_bits, self.matrix[idx])
-
-    def apply(self, p: Distribution) -> Distribution:
+    def _check_input(self, p: Distribution) -> None:
         if p.outcome_bits != self.in_bits:
             raise ValueError(
                 f"input has {p.outcome_bits} bits, channel expects {self.in_bits}")
+
+    def apply(self, p: Distribution) -> Distribution:
+        self._check_input(p)
         return Distribution(self.out_bits, p.masses @ self.matrix)
 
     def joint_with_input(self, p: Distribution) -> JointDistribution:
-        if p.outcome_bits != self.in_bits:
-            raise ValueError(
-                f"input has {p.outcome_bits} bits, channel expects {self.in_bits}")
+        self._check_input(p)
         return JointDistribution(self.in_bits, self.out_bits,
                                  p.masses[:, None] * self.matrix)
 
@@ -292,7 +288,7 @@ def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
     (i1, e1), (i2, e2) = p.spike_params, q.spike_params
     if i1 == i2:
         return abs(e1 - e2) * (1.0 - u)
-    bg1, bg2 = (1.0 - e1) * u, (1.0 - e2) * u
+    bg1, bg2 = p._background(), q._background()
     return 0.5 * (abs(e1 + bg1 - bg2) + abs(e2 + bg2 - bg1)
                   + (1.0 - 2.0 * u) * abs(e1 - e2))
 

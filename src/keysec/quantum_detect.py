@@ -28,6 +28,18 @@ def _as_square_complex(entries, what: str) -> np.ndarray:
     return mat
 
 
+def _hermitian_psd(mat: np.ndarray, what: str) -> np.ndarray:
+    # Rejects non-Hermitian or non-PSD input; returns the Hermitian part.
+    if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian within {HERMITIAN_TOL:g}")
+    mat = 0.5 * (mat + mat.conj().T)
+    smallest = np.linalg.eigvalsh(mat).min()
+    if smallest < -HERMITIAN_TOL:
+        raise ValueError(f"{what} is not positive semidefinite: "
+                         f"negative eigenvalue {smallest:.3e}")
+    return mat
+
+
 class DensityMatrix:
     """Hermitian, positive semidefinite, trace-one matrix of dim <= 16."""
 
@@ -38,12 +50,7 @@ class DensityMatrix:
         dim = mat.shape[0]
         if dim > DIM_CAP:
             raise ValueError(f"dimension capped at {DIM_CAP}, got {dim}")
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-10")
-        mat = 0.5 * (mat + mat.conj().T)  # symmetrization pre-step
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -HERMITIAN_TOL:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
+        mat = _hermitian_psd(mat, "density matrix")
         if abs(mat.trace().real - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"trace {mat.trace().real!r} differs from 1")
         self.dim = dim
@@ -53,7 +60,10 @@ class DensityMatrix:
     @classmethod
     def pure(cls, statevector) -> DensityMatrix:
         v = np.asarray(statevector, dtype=complex)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            raise ValueError("state vector must be nonzero")
+        v = v / norm
         return cls(np.outer(v, v.conj()))
 
     @classmethod
@@ -88,10 +98,7 @@ class Povm:
         for m in mats:
             if m.shape[0] != dim:
                 raise ValueError("POVM elements must share one dimension")
-            if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -HERMITIAN_TOL:
-                raise ValueError("POVM element is not positive semidefinite")
+            _hermitian_psd(m, "POVM element")  # elements are stored as given
             total += m
         if np.abs(total - np.eye(dim)).max() > HERMITIAN_TOL:
             raise ValueError("POVM elements do not sum to the identity")
@@ -102,19 +109,6 @@ class Povm:
     def computational_basis(cls, dim: int) -> Povm:
         eye = np.eye(dim, dtype=complex)
         return cls([np.outer(eye[i], eye[i]) for i in range(dim)])
-
-    @classmethod
-    def two_outcome(cls, effect) -> Povm:
-        e = _as_square_complex(effect, "effect")
-        return cls([e, np.eye(e.shape[0], dtype=complex) - e])
-
-    @classmethod
-    def projective_qubit(cls, nx: float, ny: float, nz: float) -> Povm:
-        """Projectors onto the +-1 eigenstates along a Bloch direction."""
-        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-        nx, ny, nz = nx / norm, ny / norm, nz / norm
-        plus = 0.5 * np.array([[1 + nz, nx - 1j * ny], [nx + 1j * ny, 1 - nz]])
-        return cls([plus, np.eye(2, dtype=complex) - plus])
 
     def outcome_probabilities(self, rho: DensityMatrix) -> np.ndarray:
         if rho.dim != self.dim:

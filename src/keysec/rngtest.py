@@ -81,13 +81,13 @@ def block_distribution(model: SourceModel, block_len: int) -> Distribution:
     if not 1 <= block_len <= BLOCK_LEN_CAP:
         raise ValueError(f"block_len must be in [1, {BLOCK_LEN_CAP}]")
     if isinstance(model, BernoulliSource):
+        # the Markov chain whose transition rows both equal the initial law
         p1 = 0.5 + model.bias
         masses = np.array([1.0 - p1, p1])
-        for _ in range(block_len - 1):
-            masses = np.outer(masses, [1.0 - p1, p1]).ravel()
-        return Distribution(block_len, masses)
-    masses = model.initial.masses.copy()
-    trans = model.transition.matrix
+        trans = np.array([masses, masses])
+    else:
+        masses = model.initial.masses
+        trans = model.transition.matrix
     for _ in range(block_len - 1):
         # index convention is MSB first, so the last emitted bit is idx & 1
         masses = (masses[:, None] * trans[np.arange(len(masses)) & 1]).ravel()

@@ -108,6 +108,10 @@ class TestMarkovIndividualBound:
         values = [markov_individual_bound(e, 64).log2_value for e in grid]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_length_validated(self):
+        with pytest.raises(ValueError, match="key length must be >= 1"):
+            markov_individual_bound(0.1, 0)
+
 
 class TestLeakageProfile:
     def test_headline_parameters(self):
@@ -130,6 +134,10 @@ class TestLeakageProfile:
             with pytest.raises(ValueError):
                 leakage_profile(8, bad)
 
+    def test_length_validated(self):
+        with pytest.raises(ValueError, match="key length must be >= 1"):
+            leakage_profile(0, 0.5)
+
 
 class TestRequiredEpsilon:
     def test_headline_length(self):
@@ -138,6 +146,10 @@ class TestRequiredEpsilon:
 
     def test_single_bit(self):
         assert required_epsilon(1).value == 0.5
+
+    def test_length_validated(self):
+        with pytest.raises(ValueError, match="key length must be >= 1"):
+            required_epsilon(0)
 
     def test_ten_bits(self):
         assert required_epsilon(10).value == pytest.approx(9.765625e-4,

@@ -91,6 +91,18 @@ class TestCouplingCommand:
         assert doc["delta_to_uniform"] == pytest.approx(0.1 * (1 - 2.0 ** -4),
                                                         abs=1e-12)
 
+    def test_spike_above_dense_cap(self, capsys, tmp_path):
+        p = tmp_path / "s24.dist"
+        u = tmp_path / "u24.dist"
+        save_distribution(Distribution.spike(24, 0.1, 3), p)
+        save_distribution(Distribution.uniform(24), u)
+        expected = 0.1 * (1 - 2.0 ** -24)
+        for mode in (["--contradiction"], ["--q", str(u)]):
+            doc = machine(capsys, "coupling", "--p", str(p), *mode)
+            assert doc["maximal_coupling_mismatch"] == pytest.approx(
+                expected, abs=1e-16)
+            assert "oracle_min_mismatch" not in doc
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "coupling", "--p",
                            str(tmp_path / "nope.dist"), "--contradiction")

@@ -10,6 +10,21 @@ from keysec import (ConditionalChannel, ContradictionReport, Coupling,
 from keysec import maximal_mismatch
 
 
+def spike_mismatch_oracle(l, e1, i1, e2, i2):
+    # 1 - sum_x min(p(x), q(x)) summed over the 2^l outcomes at 60 digits
+    import mpmath
+    with mpmath.workdps(60):
+        u = mpmath.mpf(2) ** -l
+        e1, e2 = mpmath.mpf(e1), mpmath.mpf(e2)
+        bg1, bg2 = (1 - e1) * u, (1 - e2) * u
+        if i1 == i2:
+            agree = min(e1 + bg1, e2 + bg2) + (2 ** l - 1) * min(bg1, bg2)
+        else:
+            agree = (min(e1 + bg1, bg2) + min(bg1, e2 + bg2)
+                     + (2 ** l - 2) * min(bg1, bg2))
+        return 1 - agree
+
+
 def random_coupling(rng, bits):
     """Random joint; declared marginals are its own row/column sums."""
     n = 1 << bits
@@ -158,6 +173,12 @@ class TestCopyVsChannel:
         with pytest.raises(ValueError, match="square"):
             copy_vs_channel_gap(Distribution.uniform(1), w)
 
+    def test_wrong_input_size_rejected(self):
+        w = ConditionalChannel.binary_symmetric(0.1)
+        with pytest.raises(ValueError,
+                           match="input has 2 bits, channel expects 1"):
+            copy_vs_channel_gap(Distribution.uniform(2), w)
+
 
 class TestIndependentFailure:
     def test_small_lengths(self):
@@ -203,6 +224,13 @@ class TestContradictionReport:
         assert report.maximal_mismatch == pytest.approx(0.75, abs=1e-12)
         assert report.independent_failure == 0.75
 
+    def test_spike_above_dense_cap(self):
+        report = contradiction_report(Distribution.spike(24, 0.25, 5))
+        expected = 0.25 * (1 - 2.0 ** -24)
+        assert report.delta == pytest.approx(expected, abs=1e-16)
+        assert report.maximal_mismatch == pytest.approx(expected, abs=1e-16)
+        assert report.independent_failure == 1 - 2.0 ** -24
+
     def test_failure_fixed_while_delta_varies(self):
         rng = np.random.default_rng(31)
         deltas = set()
@@ -229,3 +257,17 @@ class TestMaximalMismatch:
     def test_spaces_must_agree(self):
         with pytest.raises(ValueError, match="differ"):
             maximal_mismatch(Distribution.uniform(1), Distribution.uniform(2))
+
+    def test_spike_closed_form_matches_mpmath(self):
+        rng = np.random.default_rng(23)
+        epsilons = [0.0, 1.0, 1e-300, 1e-17, 1e-6, 0.5, 1 - 1e-16]
+        for _ in range(300):
+            l = int(rng.integers(21, 1101))
+            e1, e2 = (float(rng.choice(epsilons)) if rng.random() < 0.3
+                      else float(rng.random()) for _ in range(2))
+            i1 = int(rng.integers(0, 8))
+            i2 = i1 if rng.random() < 0.5 else i1 + 1
+            m = maximal_mismatch(Distribution.spike(l, e1, i1),
+                                 Distribution.spike(l, e2, i2))
+            oracle = spike_mismatch_oracle(l, e1, i1, e2, i2)
+            assert abs(m - oracle) <= 3e-16, (l, e1, i1, e2, i2)

@@ -47,6 +47,14 @@ class TestDistributionConstruction:
         with pytest.raises(ValueError, match="expected"):
             Distribution(2, [0.5, 0.5])
 
+    def test_copies_caller_array(self):
+        a = np.array([0.5, 0.5])
+        d = Distribution(1, a)
+        a[0] = 0.7
+        assert a.flags.writeable
+        assert d.masses.tolist() == [0.5, 0.5]
+        assert not d.masses.flags.writeable
+
 
 class TestSpikeDenseAgreement:
     def test_lookup_bitwise_identical(self):
@@ -270,6 +278,14 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution(1, 1, [[0.7, 0.4], [-0.1, 0.0]])
 
+    def test_copies_caller_array(self):
+        a = np.full((2, 2), 0.25)
+        j = JointDistribution(1, 1, a)
+        a[0, 0] = 0.7
+        assert a.flags.writeable
+        assert j.masses.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        assert not j.masses.flags.writeable
+
 
 class TestConditionalChannel:
     def test_rows_validated(self):
@@ -292,6 +308,21 @@ class TestConditionalChannel:
         w = ConditionalChannel.identity(2)
         p = Distribution(2, [0.4, 0.3, 0.2, 0.1])
         assert np.allclose(w.apply(p).masses, p.masses, rtol=0, atol=1e-15)
+
+    def test_copies_caller_array(self):
+        m = np.array([[0.9, 0.1], [0.2, 0.8]])
+        w = ConditionalChannel(1, 1, m)
+        m[0, 0] = 0.7
+        assert m.flags.writeable
+        assert w.matrix.tolist() == [[0.9, 0.1], [0.2, 0.8]]
+        assert not w.matrix.flags.writeable
+
+    def test_wrong_input_size_rejected(self):
+        w = ConditionalChannel.binary_symmetric(0.1)
+        for method in (w.apply, w.joint_with_input):
+            with pytest.raises(ValueError,
+                               match="input has 2 bits, channel expects 1"):
+                method(Distribution.uniform(2))
 
 
 class TestFileFormat:

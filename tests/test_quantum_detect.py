@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,12 @@ class TestDensityMatrix:
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
         assert rho.mat[0, 0].real == pytest.approx(0.36, abs=1e-12)
 
+    def test_pure_rejects_zero_vector(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="state vector must be nonzero"):
+                DensityMatrix.pure([0, 0])
+
     def test_bloch_construction(self):
         rho = DensityMatrix.from_bloch(0.0, 0.0, 1.0)
         assert rho.mat[0, 0].real == pytest.approx(1.0)
@@ -113,6 +121,11 @@ class TestPovm:
     def test_elements_must_be_psd(self):
         bad = np.array([[1.5, 0.0], [0.0, -0.5]])
         with pytest.raises(ValueError, match="positive"):
+            Povm([bad, np.eye(2) - bad])
+
+    def test_non_psd_message_names_element(self):
+        bad = np.array([[1.5, 0.0], [0.0, -0.5]])
+        with pytest.raises(ValueError, match="POVM element is not positive"):
             Povm([bad, np.eye(2) - bad])
 
     def test_outcome_probabilities_sum_to_one(self):
