@@ -68,11 +68,10 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     p_c = float(joint_row.sum())
     if p_c == 0.0:
         raise ValueError("ciphertext has zero probability under the model")
-    posterior = joint_row / p_c
-    map_idx = int(np.argmax(posterior))
+    map_idx = int(np.argmax(joint_row))
     return AttackReport(
         map_guess=BitString.from_index(map_idx, l),
-        map_posterior=float(posterior[map_idx]),
+        map_posterior=float(joint_row[map_idx] / p_c),
         avg_success=float(key_masses.max()),
     )
 
@@ -93,9 +92,8 @@ def kpa_next_bits(p_k: Distribution, known_prefix: BitString) -> AttackReport:
     p_prefix = float(block.sum())
     if p_prefix == 0.0:
         raise ValueError("known prefix has zero probability under the key law")
-    conditional = block / p_prefix
-    map_idx = int(np.argmax(conditional))
-    map_post = float(conditional[map_idx])
+    map_idx = int(np.argmax(block))
+    map_post = float(block[map_idx] / p_prefix)
     return AttackReport(
         map_guess=BitString.from_index(map_idx, rest_bits),
         map_posterior=map_post,
@@ -160,10 +158,13 @@ def pa_effect_on_guessing(joint_ke: JointDistribution, out_len: int,
     before = conditional_guessing_probability(joint_ke)
     after = []
     for seed in seeds:
-        hashed_index = np.empty(1 << k_bits, dtype=np.int64)
-        for kv in range(1 << k_bits):
-            out = toeplitz_hash(BitString.from_index(kv, k_bits), seed, out_len)
-            hashed_index[kv] = out.to_index()
+        # linear hash: a key's image is the xor of its unit keys' images,
+        # so doubling from the least significant bit fills the table
+        hashed_index = np.zeros(1, dtype=np.int64)
+        for j in range(k_bits):
+            image = toeplitz_hash(BitString.from_index(1 << j, k_bits),
+                                  seed, out_len).to_index()
+            hashed_index = np.concatenate((hashed_index, hashed_index ^ image))
         merged = np.zeros((1 << out_len, joint.shape[1]))
         np.add.at(merged, hashed_index, joint)
         after.append(float(merged.max(axis=0).sum()))

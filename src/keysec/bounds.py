@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from .probdist import binary_entropy
 
 LOG10_2 = math.log10(2.0)
+# above 2^53 a length is not an exact float: -l rounds, l * x can overflow
+MAX_EXACT_LEN = 2**53
 
 # Bisection controls for the security-rate solver.
 RATE_EPS_FLOOR_LOG2 = -200
@@ -89,8 +91,8 @@ class LogProb:
 
 
 def _check_key_len(l: int) -> None:
-    if l < 1:
-        raise ValueError("key length must be >= 1")
+    if not 1 <= l <= MAX_EXACT_LEN:
+        raise ValueError("key length must be >= 1 and <= 2^53")
 
 
 def _root_plus_uniform(eps_bar: float, l: int, root: float) -> LogProb:
@@ -182,8 +184,8 @@ class FiniteKeyParams:
     eps_bar: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("block length n must be >= 1")
+        if not 1 <= self.n <= MAX_EXACT_LEN:
+            raise ValueError("block length n must be >= 1 and <= 2^53")
         if not (self.q >= 0.0 and self.mu >= 0.0 and self.q + self.mu <= 1.0):
             raise ValueError("need 0 <= Q, 0 <= mu, Q + mu <= 1")
         for name in ("p_fail", "eps_cor"):
@@ -236,8 +238,8 @@ def epsilon_for_security_rate(s_target: float,
     more than 5% relative: that is the vanishing-rate regime, where the
     demanded per-bit security cannot be met at this block length.
     """
-    if not s_target > 0.0:
-        raise ValueError("s_target must be positive")
+    if not 0.0 < s_target < math.inf:
+        raise ValueError("s_target must be positive and finite")
 
     def key_len(eps: float) -> int:
         return extractable_key_length(replace(params, eps_bar=eps))

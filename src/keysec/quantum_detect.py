@@ -60,6 +60,8 @@ class DensityMatrix:
     @classmethod
     def pure(cls, statevector) -> DensityMatrix:
         v = np.asarray(statevector, dtype=complex)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("state vector has non-finite entries")
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")

@@ -141,6 +141,23 @@ class TestCiphertextOnlyAttack:
                 random_distribution(rng, l))
             assert 2.0 ** -l - 1e-15 <= report.avg_success <= 1.0
 
+    def test_near_tie_picks_larger_mass(self):
+        # keys 000 and 001 carry adjacent floats; dividing the row by
+        # P(c) = (1 + 2^-52) / 8 rounds both to 0.1875, so a normalized
+        # argmax would fall on 000
+        p_k = Distribution(3, [0.1875, 0.18750000000000003,
+                               0.15690254065262163, 0.16170405533354798,
+                               0.10136371519780209, 0.01949441874766889,
+                               0.045771368524677274, 0.13976390154368207])
+        masses = p_k.masses
+        assert masses[0] < masses[1]
+        assert masses[0] / masses.sum() == masses[1] / masses.sum()
+        for c in range(8):
+            report = ciphertext_only_attack(BitString.from_index(c, 3),
+                                            Distribution.uniform(3), p_k)
+            assert report.map_guess == BitString.from_str("001")
+            assert report.map_posterior == masses[1] / masses.sum()
+
 
 class TestKpaNextBits:
     def test_uniform_key(self):
@@ -202,6 +219,19 @@ class TestKpaNextBits:
         p_k = Distribution.uniform(4)
         with pytest.raises(ValueError):
             kpa_next_bits(p_k, BitString.from_str("1111"))
+
+    def test_near_tie_picks_larger_mass(self):
+        # remainders 00 and 01 carry adjacent floats that division by the
+        # prefix mass rounds to one value
+        first = [0.12499999999670829, 0.1249999999967083,
+                 0.10183169574810147, 0.10722114947967215]
+        p_k = Distribution(3, first + [(1.0 - sum(first)) / 4] * 4)
+        block = p_k.masses[:4]
+        assert block[0] < block[1]
+        assert block[0] / block.sum() == block[1] / block.sum()
+        report = kpa_next_bits(p_k, BitString.from_str("0"))
+        assert report.map_guess == BitString.from_str("01")
+        assert report.map_posterior == block[1] / block.sum()
 
 
 class TestToeplitzHash:
@@ -284,6 +314,25 @@ class TestPaEffect:
             report = pa_effect_on_guessing(joint, 2, seeds)
             assert all(a >= report.before for a in report.after)
             assert report.after_avg >= report.before
+
+    @pytest.mark.parametrize("k_bits, out_len", [
+        (1, 1), (2, 1), (2, 2), (3, 2), (4, 1), (4, 4), (5, 3), (6, 2),
+        (6, 3)])
+    def test_matches_per_key_hash_merge(self, k_bits, out_len):
+        rng = np.random.default_rng(100 + 10 * k_bits + out_len)
+        joint = random_joint(rng, k_bits, int(rng.integers(0, 3)))
+        seed_bits = k_bits + out_len - 1
+        seeds = [BitString.from_index(v, seed_bits)
+                 for v in range(1 << seed_bits)]
+        report = pa_effect_on_guessing(joint, out_len, seeds)
+        for seed, after in zip(seeds, report.after):
+            merged = np.zeros((1 << out_len, joint.masses.shape[1]))
+            for kv in range(1 << k_bits):
+                key = BitString.from_index(kv, k_bits)
+                merged[toeplitz_hash(key, seed, out_len).to_index()] += \
+                    joint.masses[kv]
+            assert after == float(merged.max(axis=0).sum())
+        assert report.after_avg == float(np.mean(report.after))
 
     def test_validation(self):
         joint = JointDistribution.from_product(Distribution.uniform(4),

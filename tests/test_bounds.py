@@ -277,3 +277,29 @@ class TestNonFiniteInput:
     def test_nan_security_rate_is_a_validation_error(self):
         with pytest.raises(ValueError, match="s_target"):
             epsilon_for_security_rate(math.nan, default_rate_params(10**7))
+
+    def test_infinite_security_rate_is_a_validation_error(self):
+        with pytest.raises(ValueError, match="s_target"):
+            epsilon_for_security_rate(math.inf, default_rate_params(10**7))
+
+
+class TestLengthsBeyondExactFloats:
+    # above 2^53 a length is no longer an exact float; such lengths are
+    # rejected instead of overflowing or rounding -l
+    @pytest.mark.parametrize("fn", [
+        lambda l: yuen_upper_bound(1e-6, l),
+        lambda l: markov_individual_bound(1e-6, l),
+        required_epsilon,
+        lambda l: leakage_profile(l, 0.5),
+    ])
+    def test_key_length_capped(self, fn):
+        fn(2**53)  # the cap itself is accepted
+        for l in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="key length must be >= 1"):
+                fn(l)
+
+    def test_block_length_capped(self):
+        FiniteKeyParams(n=2**53, q=0.05)
+        for n in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="block length n"):
+                FiniteKeyParams(n=n, q=0.05)

@@ -308,6 +308,11 @@ class TestFlagBoundaries:
          "seed"),
         (("attack", "--mode", "hash", "--key", "", "--seed", "",
           "--out-len", "0"), "nonempty"),
+        (("rate", "--s-target", "inf", "--n", "1000"), "s_target"),
+        (("bounds", "--eps-bar", "1e-6", "--key-len", "1" + "0" * 400),
+         "key length must be >= 1"),
+        (("rate", "--s-target", "1e-14", "--n", "1" + "0" * 400),
+         "block length n"),
     ])
     def test_validation_exit_code(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)

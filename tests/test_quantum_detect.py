@@ -106,6 +106,13 @@ class TestDensityMatrix:
             with pytest.raises(ValueError, match="state vector must be nonzero"):
                 DensityMatrix.pure([0, 0])
 
+    @pytest.mark.parametrize("vector", [[float("inf"), 0.0], [float("nan"), 1.0]])
+    def test_pure_rejects_non_finite_vector(self, vector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix.pure(vector)
+
     def test_bloch_construction(self):
         rho = DensityMatrix.from_bloch(0.0, 0.0, 1.0)
         assert rho.mat[0, 0].real == pytest.approx(1.0)

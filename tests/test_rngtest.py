@@ -15,8 +15,7 @@ from keysec.rngtest import splitmix64
 # published scalar recurrence
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
-# frozen from the first verified run (bias 1e-3, 8-bit blocks, seed 42);
-# regenerable with scripts/rng_uniformity_experiment.py
+# frozen from the first verified run (bias 1e-3, 8-bit blocks, seed 42)
 GOLDEN_FIRST16 = [190, 41, 71, 88, 9, 222, 56, 205,
                   87, 158, 52, 126, 131, 133, 170, 52]
 GOLDEN_DELTA_1E6 = 0.00661125
