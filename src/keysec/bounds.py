@@ -61,12 +61,13 @@ class LogProb:
     log2_complement: float | None = None
 
     def __post_init__(self):
-        if self.log2_value > 0.0:
+        if not self.log2_value <= 0.0:  # also refuses NaN
             raise ValueError(f"log2_value must be <= 0, got {self.log2_value}")
 
     @classmethod
     def from_log2(cls, log2_value: float) -> LogProb:
-        return cls(min(0.0, log2_value))
+        """Caps log2_value at 0; NaN reaches the constructor and is refused."""
+        return cls(min(log2_value, 0.0))
 
     @classmethod
     def one_minus_pow2(cls, l: int) -> LogProb:
@@ -160,8 +161,8 @@ class EfficiencyReport:
 
 def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> EfficiencyReport:
     """Fraction of transmitted raw bits that survive as final key bits."""
-    if raw_rate_bps <= 0.0 or key_rate_bps <= 0.0:
-        raise ValueError("rates must be positive")
+    if not (0.0 < raw_rate_bps < math.inf and 0.0 < key_rate_bps < math.inf):
+        raise ValueError("rates must be positive and finite")
     ratio = key_rate_bps / raw_rate_bps
     return EfficiencyReport(ratio=ratio, inverted=ratio > 1.0)
 

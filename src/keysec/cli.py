@@ -44,7 +44,8 @@ def _prob_fields(name: str, lp: bounds.LogProb) -> dict:
 
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "machine":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        # a non-finite value raises ValueError (exit 2), never a NaN token
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
         return
     width = max(len(k) for k in doc)
     for key, value in doc.items():
@@ -58,7 +59,7 @@ def _load(loader, path: str, kind: str):
     except FileNotFoundError:
         raise CliError(f"{kind} file not found: {path}")
     # a field of the wrong JSON type surfaces as TypeError or KeyError, an
-    # integer field written as 1e400 as OverflowError
+    # integer too large for a float (a 401-digit mass) as OverflowError
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"malformed {kind} file {path}: {exc}")
 
@@ -130,7 +131,7 @@ def _cmd_coupling(args) -> dict:
            "outcome_bits": p.outcome_bits,
            "statistical_distance": probdist.statistical_distance(p, q),
            "maximal_coupling_mismatch": coupling.maximal_mismatch(p, q)}
-    # exact LP confirmation whenever both laws are dense and oracle-sized
+    # LP confirmation whenever both laws are dense and oracle-sized
     if (p.outcome_bits <= probdist.DENSE_BITS_CAP
             and p.support_size() <= coupling.ORACLE_SUPPORT_CAP
             and q.support_size() <= coupling.ORACLE_SUPPORT_CAP):
@@ -368,14 +369,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
+        _emit(args.handler(args), args.format)
     except bounds.NoSolutionError as exc:
         print(f"no-solution: {exc}", file=sys.stderr)
         return 3
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args.format)
     return 0
 
 

@@ -101,12 +101,13 @@ def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
 
 
 def min_mismatch_oracle(p: Distribution, q: Distribution) -> float:
-    """Exact minimum of Pr[X != Y] over all couplings of (p, q).
+    """Minimum of Pr[X != Y] over all couplings of (p, q).
 
     Solves the transportation linear program with mismatch cost directly,
     independently of the explicit construction in ``maximal_coupling``.
-    Restricted to supports of at most 6 outcomes so the solve stays
-    desk-scale exact.
+    HiGHS solves it in floating point, so it matches the distance to
+    within solver tolerance, not bit for bit.  Restricted to supports of
+    at most 6 outcomes.
     """
     _check_same_space(p, q)
     a, b = p.masses, q.masses

@@ -20,13 +20,23 @@ DENSE_BITS_CAP = 20
 SUM_TOLERANCE = 1e-9
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; NaN, infinities and fractions are refused."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _outcome_index(outcome, outcome_bits: int) -> int:
     if isinstance(outcome, BitString):
         if len(outcome) != outcome_bits:
             raise ValueError(
                 f"outcome has {len(outcome)} bits, expected {outcome_bits}")
         return outcome.to_index()
-    idx = int(outcome)
+    idx = _integral(outcome, "outcome index")
     if idx < 0 or idx >= (1 << outcome_bits):
         raise ValueError(f"outcome index {idx} out of range for {outcome_bits} bits")
     return idx
@@ -224,8 +234,8 @@ class ConditionalChannel:
         if mat.shape != (1 << in_bits, 1 << out_bits):
             raise ValueError(
                 f"expected shape {(1 << in_bits, 1 << out_bits)}, got {mat.shape}")
-        for row in mat:
-            Distribution(out_bits, row)  # validates each row
+        for i, row in enumerate(mat):
+            mat[i] = _validated_masses(row)
         self.in_bits = in_bits
         self.out_bits = out_bits
         self.matrix = mat
@@ -353,15 +363,35 @@ def _read_document(text: str, kind: str, *fields: str) -> dict:
     return doc
 
 
+def _json_size(doc: dict, field: str) -> int:
+    value = doc[field]
+    if type(value) is not int:  # bool is a subclass of int, so not isinstance
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _is_json_number(value) -> bool:
+    return type(value) in (int, float)  # not bool, str, null or array
+
+
+def _json_numbers(values, what: str) -> list:
+    if not isinstance(values, list) or not all(map(_is_json_number, values)):
+        raise ValueError(f"{what} must be an array of JSON numbers")
+    return values
+
+
 def loads_distribution(text: str) -> Distribution:
     doc = _read_document(text, "distribution", "outcome_bits")
-    bits = int(doc["outcome_bits"])
+    bits = _json_size(doc, "outcome_bits")
     if "masses" in doc:
-        return Distribution(bits, doc["masses"])
+        return Distribution(bits, _json_numbers(doc["masses"], "masses"))
     if "spike" in doc:
         spike = doc["spike"]
         outcome = BitString.from_str(spike["outcome"])
-        return Distribution.spike(bits, float(spike["epsilon"]), outcome)
+        eps = spike["epsilon"]
+        if not _is_json_number(eps):
+            raise ValueError(f"epsilon must be a JSON number, got {eps!r}")
+        return Distribution.spike(bits, eps, outcome)
     raise ValueError("distribution file needs either masses or spike")
 
 

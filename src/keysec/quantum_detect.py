@@ -13,7 +13,8 @@ import os
 
 import numpy as np
 
-from .probdist import Distribution, _fmt, _read_document, _total_variation
+from .probdist import (Distribution, _fmt, _json_numbers, _json_size,
+                       _read_document, _total_variation)
 
 DIM_CAP = 16
 HERMITIAN_TOL = 1e-10
@@ -190,7 +191,10 @@ def dumps_matrix(rho: DensityMatrix) -> str:
 
 
 def _parse_entries(dim: int, entries) -> np.ndarray:
-    flat = [complex(re, im) for re, im in entries]
+    flat = []
+    for pair in entries:
+        re, im = _json_numbers(pair, "matrix entry")  # ValueError unless a pair
+        flat.append(complex(re, im))
     if len(flat) != dim * dim:
         raise ValueError(f"expected {dim * dim} complex pairs, got {len(flat)}")
     return np.array(flat, dtype=complex).reshape(dim, dim)
@@ -198,7 +202,7 @@ def _parse_entries(dim: int, entries) -> np.ndarray:
 
 def loads_matrix(text: str) -> DensityMatrix:
     doc = _read_document(text, "matrix", "dim", "entries")
-    return DensityMatrix(_parse_entries(int(doc["dim"]), doc["entries"]))
+    return DensityMatrix(_parse_entries(_json_size(doc, "dim"), doc["entries"]))
 
 
 def save_matrix(rho: DensityMatrix, path: str | os.PathLike) -> None:
@@ -213,7 +217,7 @@ def load_matrix(path: str | os.PathLike) -> DensityMatrix:
 
 def loads_povm(text: str) -> Povm:
     doc = _read_document(text, "POVM", "dim", "elements")
-    dim = int(doc["dim"])
+    dim = _json_size(doc, "dim")
     return Povm([_parse_entries(dim, e) for e in doc["elements"]])
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from .bits import BitString
 from .bounds import LogProb
 from .coupling import independent_coupling_failure
-from .probdist import (ConditionalChannel, Distribution, _total_variation,
-                       statistical_distance)
+from .probdist import (ConditionalChannel, Distribution, _integral,
+                       _total_variation, statistical_distance)
 
 BLOCK_LEN_CAP = 16
 
@@ -34,6 +34,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of the SplitMix64 stream for seed."""
+    seed, count = _integral(seed, "seed"), _integral(count, "count")
+    offset = _integral(offset, "offset")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
@@ -41,11 +43,6 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
-
-
-def _uniform_doubles(seed: int, count: int) -> np.ndarray:
-    # top 53 bits -> [0, 1)
-    return (splitmix64(seed, count) >> np.uint64(11)).astype(float) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -141,15 +138,19 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
 
     Inverse-CDF over the exact block distribution, one SplitMix64 output
     per block, so the result is a pure function of (model, block_len,
-    count, seed).
+    count, seed).  Block i is the first outcome j with m < T[j], where m
+    is the top 53 bits of output i and T = ceil(cdf * 2^53) in integers,
+    which is exactly the float test m * 2^-53 < cdf[j].  The last
+    threshold is 2^53, so a CDF that rounds short of 1 misses no m.
     """
+    count = _integral(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
-    dist = block_distribution(model, block_len)
-    cdf = np.cumsum(dist.masses)
-    u = _uniform_doubles(seed, count)
-    values = np.searchsorted(cdf, u, side="right")
-    np.clip(values, 0, (1 << block_len) - 1, out=values)
+    cdf = np.cumsum(block_distribution(model, block_len).masses)
+    thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
+    thresholds[-1] = 1 << 53
+    top53 = splitmix64(seed, count) >> np.uint64(11)
+    values = np.searchsorted(thresholds, top53, side="right")
     return SampleSet(block_len=block_len, values=values, seed=seed)
 
 

@@ -24,6 +24,16 @@ class TestLogProb:
         with pytest.raises(ValueError):
             LogProb(0.5)
 
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="log2_value"):
+            LogProb(math.nan)
+
+    def test_from_log2_rejects_nan_instead_of_capping(self):
+        with pytest.raises(ValueError, match="log2_value"):
+            LogProb.from_log2(math.nan)
+        assert LogProb.from_log2(0.5).value == 1.0
+        assert LogProb.from_log2(-math.inf).value == 0.0
+
     def test_extreme_exponent_round_trip(self):
         lp = LogProb.from_log2(-10.0 ** 4)
         assert lp.log10 == pytest.approx(-3010.2999566398119, abs=0.1)
@@ -175,6 +185,12 @@ class TestPipelineEfficiency:
             pipeline_efficiency(0.0, 1.0)
         with pytest.raises(ValueError):
             pipeline_efficiency(1.0, -2.0)
+
+    @pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan),
+                                       (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="finite"):
+            pipeline_efficiency(*rates)
 
 
 class TestFiniteKeyParams:

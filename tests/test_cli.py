@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import keysec
 from keysec import Distribution, DensityMatrix, save_distribution, save_matrix
+from keysec import cli
 from keysec.cli import main
 
 
@@ -236,6 +238,18 @@ class TestMachineModeRoundTrip:
         assert doc["p_file"] == p
         assert doc["q_file"] == q
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_output_is_a_validation_error(self, capsys,
+                                                     monkeypatch, value):
+        # machine JSON never carries the non-standard NaN/Infinity tokens
+        monkeypatch.setattr(cli, "_cmd_bounds",
+                            lambda args: {"command": "bounds", "x": value})
+        code, out, err = run(capsys, "--format", "machine", "bounds",
+                             "--eps-bar", "0.5", "--key-len", "8")
+        assert code == 2
+        assert out == ""
+        assert "not JSON compliant" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -272,6 +286,19 @@ class TestMalformedFields:
         '{"outcome_bits": [1], "masses": [0.5, 0.5]}',
         '{"outcome_bits": 1e400, "masses": [0.5, 0.5]}',
         '{"outcome_bits": 1, "masses": [NaN, 1.0]}',
+        # sizes must be JSON integers, masses JSON numbers
+        '{"outcome_bits": 1.9, "masses": [0.5, 0.5]}',
+        '{"outcome_bits": 1.0, "masses": [0.5, 0.5]}',
+        '{"outcome_bits": true, "masses": [0.5, 0.5]}',
+        '{"outcome_bits": "1", "masses": [0.5, 0.5]}',
+        '{"outcome_bits": 1, "masses": [true, false]}',
+        '{"outcome_bits": 1, "masses": ["0.5", 0.5]}',
+        '{"outcome_bits": 1, "masses": [null, 1.0]}',
+        '{"outcome_bits": 1, "masses": "01"}',
+        pytest.param('{"outcome_bits": 1, "masses": [1%s, 0]}' % ("0" * 400),
+                     id="401-digit-mass"),
+        '{"outcome_bits": 2, "spike": {"outcome": "01", "epsilon": "0.1"}}',
+        '{"outcome_bits": 2, "spike": {"outcome": "01", "epsilon": true}}',
     ])
     def test_distribution_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.dist"
@@ -289,6 +316,35 @@ class TestMalformedFields:
                            "--sigma", str(path))
         assert code == 2
         assert "malformed matrix file" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+        '{"dim": true, "entries": [[1, 0]]}',
+        '{"dim": "1", "entries": [[1, 0]]}',
+        '{"dim": 1, "entries": [[true, false]]}',
+        '{"dim": 1, "entries": [["1", 0]]}',
+        '{"dim": 1, "entries": [[1]]}',
+        '{"dim": 1, "entries": [[1, 0, 0]]}',
+    ])
+    def test_matrix_file_types(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        code, out, err = run(capsys, "detect", "--rho", str(path),
+                             "--sigma", str(path))
+        assert code == 2
+        assert "malformed matrix file" in err
+        assert out == ""
+
+    def test_povm_dim_must_be_an_integer(self, capsys, tmp_path):
+        rho = tmp_path / "rho.mat"
+        save_matrix(DensityMatrix.diagonal(np.array([1.0, 0.0])), rho)
+        povm = tmp_path / "m.povm"
+        povm.write_text('{"dim": 2.0, "elements": '
+                        '[[[1, 0], [0, 0], [0, 0], [1, 0]]]}')
+        code, _, err = run(capsys, "detect", "--rho", str(rho), "--sigma",
+                           str(rho), "--povm", str(povm))
+        assert code == 2
+        assert "malformed POVM file" in err
 
     def test_povm_file_not_found(self, capsys, tmp_path):
         rho = tmp_path / "rho.mat"

@@ -168,6 +168,13 @@ class TestCopyVsChannel:
             gap = copy_vs_channel_gap(p, w)
             assert gap.delta_joint == pytest.approx(gap.mismatch, abs=1e-12)
 
+    def test_identity_holds_for_a_row_off_by_5e10(self):
+        # the channel renormalizes the row, so the joint law sums to 1 and
+        # the diagonal deficit equals the off-diagonal mass
+        w = ConditionalChannel(1, 1, [[0.9 + 5e-10, 0.1], [0.1, 0.9]])
+        gap = copy_vs_channel_gap(Distribution.uniform(1), w)
+        assert gap.delta_joint == pytest.approx(gap.mismatch, abs=1e-15)
+
     def test_non_square_rejected(self):
         w = ConditionalChannel(1, 2, np.full((2, 4), 0.25))
         with pytest.raises(ValueError, match="square"):

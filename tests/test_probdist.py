@@ -43,6 +43,15 @@ class TestDistributionConstruction:
         with pytest.raises(ValueError):
             Distribution.spike(4, 1.5, 0)
 
+    @pytest.mark.parametrize("outcome", [2.7, np.nan, np.inf, "2"])
+    def test_spike_outcome_must_be_integral(self, outcome):
+        with pytest.raises(ValueError, match="outcome index must be an integer"):
+            Distribution.spike(4, 0.1, outcome)
+
+    @pytest.mark.parametrize("outcome", [2.0, np.int64(2), np.uint8(2)])
+    def test_spike_outcome_of_any_integral_type(self, outcome):
+        assert Distribution.spike(4, 0.1, outcome).spike_params == (2, 0.1)
+
     def test_wrong_mass_count(self):
         with pytest.raises(ValueError, match="expected"):
             Distribution(2, [0.5, 0.5])
@@ -291,6 +300,17 @@ class TestConditionalChannel:
     def test_rows_validated(self):
         with pytest.raises(ValueError):
             ConditionalChannel(1, 1, [[0.7, 0.1], [0.5, 0.5]])
+
+    def test_rows_renormalized(self):
+        rows = [[0.9 + 5e-10, 0.1], [0.1, 0.9]]
+        w = ConditionalChannel(1, 1, rows)
+        assert w.matrix[0].tolist() == (np.array(rows[0]) / sum(rows[0])).tolist()
+        assert w.matrix[1].tolist() == rows[1]
+
+    def test_rows_summing_to_one_stored_as_given(self):
+        rows = [[1.0 - 0.37, 0.37], [1.0 - 1e-4, 1e-4]]
+        assert [sum(r) for r in rows] == [1.0, 1.0]
+        assert ConditionalChannel(1, 1, rows).matrix.tolist() == rows
 
     def test_binary_symmetric(self):
         w = ConditionalChannel.binary_symmetric(0.1)

@@ -1,4 +1,6 @@
+import bisect
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from keysec import (BernoulliSource, BitString, ConditionalChannel,
                     Distribution, MarkovSource, SampleSet, block_distribution,
                     empirical_distance, model_distance_to_uniform,
                     sample_blocks, uniformity_failure_report)
+from keysec import rngtest
 from keysec.rngtest import splitmix64
 
 # 64-bit finalizer over a Weyl sequence; reference outputs from the
@@ -49,6 +52,26 @@ class TestSplitMix64:
         whole = splitmix64(99, 10)
         parts = np.concatenate([splitmix64(99, 4), splitmix64(99, 6, offset=4)])
         assert np.array_equal(whole, parts)
+
+
+def float_lookup(model, block_len, outputs):
+    """The float definition of a sampled block, as a pure-Python oracle.
+
+    Block = first outcome whose CDF exceeds u = (x >> 11) * 2^-53, clipped
+    to the last outcome when rounding leaves the CDF short of 1.
+    """
+    masses = block_distribution(model, block_len).masses.tolist()
+    cdf = list(itertools.accumulate(masses))
+    top = (1 << block_len) - 1
+    return [min(bisect.bisect_right(cdf, (x >> 11) * 2.0 ** -53), top)
+            for x in outputs]
+
+
+# Bernoulli bias 0.1 at 8 bits: the block law's cumsum ends at 1 - 2.7e-15
+SHORT_CDF_MODEL = (BernoulliSource(0.1), 8)
+PLATEAU_MODEL = MarkovSource(
+    transition=ConditionalChannel(1, 1, [[1.0, 0.0], [0.3, 0.7]]),
+    initial=Distribution(1, [0.4, 0.6]))
 
 
 class TestBlockDistribution:
@@ -133,6 +156,36 @@ class TestSampleBlocks:
         assert digest == GOLDEN_SHA256_1E6
         assert empirical_distance(s) == pytest.approx(GOLDEN_DELTA_1E6,
                                                       abs=1e-15)
+
+    def test_lookup_models_cover_plateaus_and_short_cdf(self):
+        plateau = block_distribution(PLATEAU_MODEL, 10).masses
+        assert np.count_nonzero(plateau == 0.0) > 0
+        assert np.cumsum(block_distribution(*SHORT_CDF_MODEL).masses)[-1] < 1.0
+
+    @pytest.mark.parametrize("model, block_len", [
+        (BernoulliSource(1e-4), 16), (PLATEAU_MODEL, 10), SHORT_CDF_MODEL],
+        ids=["bernoulli16", "markov_plateaus", "short_cdf"])
+    def test_matches_float_lookup(self, model, block_len):
+        count, seed = 10**4, 2026
+        s = sample_blocks(model, block_len, count, seed)
+        assert s.values.tolist() == float_lookup(
+            model, block_len, scalar_splitmix64(seed, count))
+
+    def test_edge_outputs_match_float_lookup(self, monkeypatch):
+        # outputs whose top 53 bits sit on, just below and just above each
+        # CDF value, plus the all-ones output that a short CDF must clip
+        model, block_len = SHORT_CDF_MODEL
+        cdf = np.cumsum(block_distribution(model, block_len).masses)
+        edges = np.floor(cdf * 2.0 ** 53).astype(np.int64)
+        outputs = sorted({(int(m) << 11) | low
+                          for e in edges for m in (e - 1, e, e + 1)
+                          for low in (0, 2047)} | {(1 << 64) - 1})
+        monkeypatch.setattr(rngtest, "splitmix64",
+                            lambda seed, count: np.array(outputs, np.uint64))
+        s = sample_blocks(model, block_len, len(outputs), seed=0)
+        expected = float_lookup(model, block_len, outputs)
+        assert expected[-1] == (1 << block_len) - 1
+        assert s.values.tolist() == expected
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
@@ -247,3 +300,23 @@ class TestSeedRange:
         seed = (1 << 64) - 1
         assert [int(v) for v in splitmix64(seed, 5)] == \
             scalar_splitmix64(seed, 5)
+
+
+class TestIntegralArguments:
+    @pytest.mark.parametrize("seed", [1.9, np.nan, np.inf, "1"])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            splitmix64(seed, 3)
+
+    @pytest.mark.parametrize("count", [2.5, np.nan])
+    def test_non_integral_count_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample_blocks(BernoulliSource(0.0), 4, count, seed=1)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            splitmix64(1, count)
+
+    def test_integral_values_of_any_type_accepted(self):
+        expected = sample_blocks(BernoulliSource(0.1), 4, 1000, seed=5).values
+        for count, seed in ((1e3, 5.0), (np.int64(1000), np.uint64(5))):
+            s = sample_blocks(BernoulliSource(0.1), 4, count, seed)
+            assert np.array_equal(s.values, expected)
