@@ -68,6 +68,7 @@ class Distribution:
     __slots__ = ("outcome_bits", "_dense", "_spike")
 
     def __init__(self, outcome_bits: int, masses):
+        outcome_bits = _integral(outcome_bits, "outcome_bits")
         if outcome_bits < 0:
             raise ValueError("outcome_bits must be >= 0")
         if outcome_bits > DENSE_BITS_CAP:
@@ -387,11 +388,14 @@ def loads_distribution(text: str) -> Distribution:
         return Distribution(bits, _json_numbers(doc["masses"], "masses"))
     if "spike" in doc:
         spike = doc["spike"]
-        outcome = BitString.from_str(spike["outcome"])
-        eps = spike["epsilon"]
+        if not isinstance(spike, dict) or \
+                not isinstance(spike.get("outcome"), str):
+            raise ValueError("spike must be a JSON object with a bitstring "
+                             "outcome and a number epsilon")
+        eps = spike.get("epsilon")
         if not _is_json_number(eps):
             raise ValueError(f"epsilon must be a JSON number, got {eps!r}")
-        return Distribution.spike(bits, eps, outcome)
+        return Distribution.spike(bits, eps, BitString.from_str(spike["outcome"]))
     raise ValueError("distribution file needs either masses or spike")
 
 

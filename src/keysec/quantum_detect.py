@@ -191,6 +191,8 @@ def dumps_matrix(rho: DensityMatrix) -> str:
 
 
 def _parse_entries(dim: int, entries) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise ValueError("matrix entries must be an array of [re, im] pairs")
     flat = []
     for pair in entries:
         re, im = _json_numbers(pair, "matrix entry")  # ValueError unless a pair
@@ -218,7 +220,10 @@ def load_matrix(path: str | os.PathLike) -> DensityMatrix:
 def loads_povm(text: str) -> Povm:
     doc = _read_document(text, "POVM", "dim", "elements")
     dim = _json_size(doc, "dim")
-    return Povm([_parse_entries(dim, e) for e in doc["elements"]])
+    elements = doc["elements"]
+    if not isinstance(elements, list):
+        raise ValueError("POVM elements must be an array of matrices")
+    return Povm([_parse_entries(dim, e) for e in elements])
 
 
 def load_povm(path: str | os.PathLike) -> Povm:

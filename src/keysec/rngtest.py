@@ -26,6 +26,8 @@ from .probdist import (ConditionalChannel, Distribution, _integral,
                        _total_variation, statistical_distance)
 
 BLOCK_LEN_CAP = 16
+# forward-scan steps in sample_blocks before the binary-search fallback
+_SCAN_STEPS = 4
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -73,10 +75,16 @@ class MarkovSource:
 SourceModel = BernoulliSource | MarkovSource
 
 
-def block_distribution(model: SourceModel, block_len: int) -> Distribution:
-    """Exact law of one block under the model."""
+def _block_len(value) -> int:
+    block_len = _integral(value, "block_len")
     if not 1 <= block_len <= BLOCK_LEN_CAP:
         raise ValueError(f"block_len must be in [1, {BLOCK_LEN_CAP}]")
+    return block_len
+
+
+def block_distribution(model: SourceModel, block_len: int) -> Distribution:
+    """Exact law of one block under the model."""
+    block_len = _block_len(block_len)
     if isinstance(model, BernoulliSource):
         # the Markov chain whose transition rows both equal the initial law
         p1 = 0.5 + model.bias
@@ -100,8 +108,7 @@ class SampleSet:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.block_len <= BLOCK_LEN_CAP:
-            raise ValueError(f"block_len must be in [1, {BLOCK_LEN_CAP}]")
+        object.__setattr__(self, "block_len", _block_len(self.block_len))
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.size == 0:
             raise ValueError("sample set must be nonempty")
@@ -142,7 +149,18 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     is the top 53 bits of output i and T = ceil(cdf * 2^53) in integers,
     which is exactly the float test m * 2^-53 < cdf[j].  The last
     threshold is 2^53, so a CDF that rounds short of 1 misses no m.
+
+    The lookup is a guide table (Chen & Asau 1974) over 2^(block_len+1)
+    equal buckets of the 53-bit range: ``guide[b]`` counts the T[j] at
+    or below the bucket's lowest m, so it is the first outcome any m in
+    bucket b can take, and a forward scan then steps while T[j] <= m.
+    Each bucket has probability 2^-(block_len+1), so for any law the
+    expected number of comparisons per block is at most 1.5; the few m
+    still scanning after ``_SCAN_STEPS`` steps (thresholds crowded into
+    one bucket by a skewed law) finish by binary search.  Both find the same j, the
+    number of T[j] <= m, so the values do not depend on the lookup.
     """
+    block_len = _block_len(block_len)
     count = _integral(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -150,7 +168,21 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
     top53 = splitmix64(seed, count) >> np.uint64(11)
-    values = np.searchsorted(thresholds, top53, side="right")
+    shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
+    n_buckets = 1 << (block_len + 1)
+    lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
+    guide = np.cumsum(np.bincount(lowest.astype(np.int64),
+                                  minlength=n_buckets + 1))[:n_buckets]
+    values = guide[top53 >> np.uint64(shift)]
+    active = np.flatnonzero(thresholds[values] <= top53)
+    for _ in range(_SCAN_STEPS):
+        if active.size == 0:
+            break
+        values[active] += 1
+        active = active[thresholds[values[active]] <= top53[active]]
+    if active.size:
+        values[active] = np.searchsorted(thresholds, top53[active],
+                                         side="right")
     return SampleSet(block_len=block_len, values=values, seed=seed)
 
 
@@ -160,6 +192,7 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
     The one-bit iid case is the closed form |bias|, kept exact rather
     than recovered through lossy 0.5 + bias float round trips.
     """
+    block_len = _block_len(block_len)
     if isinstance(model, BernoulliSource) and block_len == 1:
         return abs(model.bias)
     return statistical_distance(block_distribution(model, block_len),

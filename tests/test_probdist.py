@@ -52,6 +52,16 @@ class TestDistributionConstruction:
     def test_spike_outcome_of_any_integral_type(self, outcome):
         assert Distribution.spike(4, 0.1, outcome).spike_params == (2, 0.1)
 
+    def test_integral_float_outcome_bits(self):
+        d = Distribution(1.0, [0.5, 0.5])
+        assert d.outcome_bits == 1 and type(d.outcome_bits) is int
+        assert d.masses.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("bits", [1.5, np.nan, "1"])
+    def test_non_integral_outcome_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="outcome_bits must be an integer"):
+            Distribution(bits, [0.5, 0.5])
+
     def test_wrong_mass_count(self):
         with pytest.raises(ValueError, match="expected"):
             Distribution(2, [0.5, 0.5])
@@ -372,6 +382,13 @@ class TestFileFormat:
             loads_distribution('{"outcome_bits": 2}')
         with pytest.raises(ValueError):
             loads_distribution('[1, 2, 3]')
+
+    @pytest.mark.parametrize("spike", [
+        "[]", "{}", "5", '{"epsilon": 0.1}', '{"outcome": 5, "epsilon": 0.1}',
+        '{"outcome": "01"}'])
+    def test_malformed_spike_field(self, spike):
+        with pytest.raises(ValueError):
+            loads_distribution('{"outcome_bits": 2, "spike": %s}' % spike)
 
     def test_save_load_file(self, tmp_path):
         d = Distribution(2, [0.5, 0.5, 0.0, 0.0])

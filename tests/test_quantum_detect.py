@@ -301,6 +301,18 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             loads_matrix('{"dim": 2, "entries": [[1, 0]]}')
 
+    @pytest.mark.parametrize("entries", ["5", '"0110"', "{}", "null"])
+    def test_matrix_entries_not_a_list(self, entries):
+        from keysec.quantum_detect import loads_matrix
+        with pytest.raises(ValueError, match="entries"):
+            loads_matrix('{"dim": 2, "entries": %s}' % entries)
+
+    @pytest.mark.parametrize("elements", ["5", "{}", "[5]"])
+    def test_povm_elements_not_a_list(self, elements):
+        from keysec.quantum_detect import loads_povm
+        with pytest.raises(ValueError):
+            loads_povm('{"dim": 2, "elements": %s}' % elements)
+
 
 class TestNonFiniteInput:
     def test_density_matrix_rejects_nan(self):

@@ -67,6 +67,30 @@ def float_lookup(model, block_len, outputs):
             for x in outputs]
 
 
+def outputs_around(cdf):
+    """Outputs whose top 53 bits sit on, just below and just above each
+    integer threshold ceil(cdf * 2^53), with the low 11 bits all zeros or
+    all ones."""
+    tops = {int(t) + d for t in np.ceil(np.asarray(cdf) * 2.0 ** 53)
+            for d in (-1, 0, 1)}
+    return sorted((m << 11) | low for m in tops if 0 <= m < 1 << 53
+                  for low in (0, 2047))
+
+
+def scan_steps(model, block_len, outputs):
+    """Forward-scan steps the guide-table lookup takes for each output.
+
+    The scan starts at the block of the lowest output in the same guide
+    bucket (the top block_len + 1 bits) and steps once per outcome it
+    passes, so the float oracle counts the steps without the table.
+    """
+    low = 63 - block_len
+    starts = float_lookup(model, block_len,
+                          [(x >> low) << low for x in outputs])
+    blocks = float_lookup(model, block_len, outputs)
+    return [b - s for b, s in zip(blocks, starts)]
+
+
 # Bernoulli bias 0.1 at 8 bits: the block law's cumsum ends at 1 - 2.7e-15
 SHORT_CDF_MODEL = (BernoulliSource(0.1), 8)
 PLATEAU_MODEL = MarkovSource(
@@ -186,6 +210,35 @@ class TestSampleBlocks:
         expected = float_lookup(model, block_len, outputs)
         assert expected[-1] == (1 << block_len) - 1
         assert s.values.tolist() == expected
+
+    def test_crowded_guide_bucket_matches_float_lookup(self, monkeypatch):
+        # bias 0.4999 at 16 bits puts half the thresholds in the lowest
+        # guide bucket, so outputs there outrun the forward scan and finish
+        # by binary search
+        model, block_len = BernoulliSource(0.4999), 16
+        cdf = np.cumsum(block_distribution(model, block_len).masses)
+        outputs = outputs_around(cdf[cdf <= 2.0 ** -(block_len + 1)])
+        assert max(scan_steps(model, block_len, outputs)) > \
+            rngtest._SCAN_STEPS
+        monkeypatch.setattr(rngtest, "splitmix64",
+                            lambda seed, count: np.array(outputs, np.uint64))
+        s = sample_blocks(model, block_len, len(outputs), seed=0)
+        assert s.values.tolist() == float_lookup(model, block_len, outputs)
+
+    def test_plateau_scan_matches_float_lookup(self, monkeypatch):
+        # zero masses repeat a threshold, so an output past a run of equal
+        # thresholds scans the whole run: some runs end within the scan
+        # limit, longer ones fall back to binary search
+        model, block_len = PLATEAU_MODEL, 10
+        cdf = np.cumsum(block_distribution(model, block_len).masses)
+        outputs = outputs_around(cdf)
+        steps = scan_steps(model, block_len, outputs)
+        assert any(1 < k <= rngtest._SCAN_STEPS for k in steps)
+        assert max(steps) > rngtest._SCAN_STEPS
+        monkeypatch.setattr(rngtest, "splitmix64",
+                            lambda seed, count: np.array(outputs, np.uint64))
+        s = sample_blocks(model, block_len, len(outputs), seed=0)
+        assert s.values.tolist() == float_lookup(model, block_len, outputs)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
@@ -314,6 +367,39 @@ class TestIntegralArguments:
             sample_blocks(BernoulliSource(0.0), 4, count, seed=1)
         with pytest.raises(ValueError, match="count must be an integer"):
             splitmix64(1, count)
+
+    @pytest.mark.parametrize("block_len", [2.5, np.nan, "8"])
+    def test_non_integral_block_len_rejected(self, block_len):
+        model = BernoulliSource(0.1)
+        for call in (lambda: block_distribution(model, block_len),
+                     lambda: sample_blocks(model, block_len, 10, seed=1),
+                     lambda: model_distance_to_uniform(model, block_len),
+                     lambda: SampleSet(block_len, [1, 2])):
+            with pytest.raises(ValueError, match="block_len"):
+                call()
+
+    def test_integral_float_block_len_in_block_distribution(self):
+        model = BernoulliSource(0.1)
+        d = block_distribution(model, 8.0)
+        assert d.outcome_bits == 8
+        assert np.array_equal(d.masses, block_distribution(model, 8).masses)
+
+    def test_integral_float_block_len_in_sample_blocks(self):
+        model = BernoulliSource(0.1)
+        s = sample_blocks(model, 4.0, 1000, seed=5)
+        assert s.block_len == 4 and type(s.block_len) is int
+        assert np.array_equal(s.values,
+                              sample_blocks(model, 4, 1000, seed=5).values)
+
+    def test_integral_float_block_len_in_sample_set(self):
+        s = SampleSet(2.0, [1, 2])
+        assert s.block_len == 2 and type(s.block_len) is int
+        assert s.counts().tolist() == [0, 1, 1, 0]
+
+    def test_integral_float_block_len_in_model_distance(self):
+        model = BernoulliSource(0.1)
+        assert model_distance_to_uniform(model, 6.0) == \
+            model_distance_to_uniform(model, 6)
 
     def test_integral_values_of_any_type_accepted(self):
         expected = sample_blocks(BernoulliSource(0.1), 4, 1000, seed=5).values
