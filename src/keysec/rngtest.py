@@ -176,13 +176,9 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     values = guide[top53 >> np.uint64(shift)]
     active = np.flatnonzero(thresholds[values] <= top53)
     for _ in range(_SCAN_STEPS):
-        if active.size == 0:
-            break
         values[active] += 1
         active = active[thresholds[values[active]] <= top53[active]]
-    if active.size:
-        values[active] = np.searchsorted(thresholds, top53[active],
-                                         side="right")
+    values[active] = np.searchsorted(thresholds, top53[active], side="right")
     return SampleSet(block_len=block_len, values=values, seed=seed)
 
 
