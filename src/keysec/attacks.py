@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import MAX_MATERIALIZED_LEN, BitString, _integral
 from .probdist import (Distribution, JointDistribution,
                        conditional_guessing_probability)
 
@@ -83,9 +83,7 @@ def kpa_next_bits(p_k: Distribution, known_prefix: BitString) -> AttackReport:
     returns the MAP remainder with its exact conditional probability.
     """
     l = p_k.outcome_bits
-    m = len(known_prefix)
-    if not 0 < m < l:
-        raise ValueError(f"prefix length must be in (0, {l}), got {m}")
+    m = _integral(len(known_prefix), "prefix length", 1, l - 1)
     rest_bits = l - m
     start = known_prefix.to_index() << rest_bits
     block = p_k.masses[start:start + (1 << rest_bits)]
@@ -110,8 +108,7 @@ def toeplitz_hash(k: BitString, seed: BitString, out_len: int) -> BitString:
     lk = len(k)
     if lk == 0:
         raise ValueError("key must be nonempty")
-    if out_len < 0 or out_len > lk:
-        raise ValueError(f"out_len must be in [0, {lk}], got {out_len}")
+    out_len = _integral(out_len, "out_len", 0, lk)
     if len(seed) != lk + out_len - 1:
         raise ValueError(
             f"seed needs {lk + out_len - 1} bits, got {len(seed)}")
@@ -126,6 +123,7 @@ def toeplitz_hash(k: BitString, seed: BitString, out_len: int) -> BitString:
 
 def identity_seed(k_bits: int) -> BitString:
     """Seed making the Toeplitz matrix the identity (out_len = k_bits)."""
+    k_bits = _integral(k_bits, "k_bits", 1, (MAX_MATERIALIZED_LEN + 1) // 2)
     bits = [0] * (2 * k_bits - 1)
     bits[k_bits - 1] = 1
     return BitString(tuple(bits))
@@ -150,8 +148,7 @@ def pa_effect_on_guessing(joint_ke: JointDistribution, out_len: int,
     k_bits = joint_ke.x_bits
     if k_bits > PA_KEY_BITS_CAP:
         raise ValueError(f"key side capped at {PA_KEY_BITS_CAP} bits")
-    if not 0 < out_len <= k_bits:
-        raise ValueError(f"out_len must be in (0, {k_bits}], got {out_len}")
+    out_len = _integral(out_len, "out_len", 1, k_bits)
     if not seeds:
         raise ValueError("need at least one hash seed")
     joint = joint_ke.masses

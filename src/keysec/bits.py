@@ -7,6 +7,24 @@ from dataclasses import dataclass
 MAX_MATERIALIZED_LEN = 2**20
 
 
+def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """The one integer check: ``value`` as an int in [lo, hi], or ValueError.
+
+    Integral values of any numeric type pass (``8.0``, numpy integers);
+    NaN, infinities, fractions and non-numbers fail; hi None means no cap.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < lo or (hi is not None and n > hi):
+        upper = "" if hi is None else f" and <= {hi}"
+        raise ValueError(f"{name} must be >= {lo}{upper}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class BitString:
     """Immutable sequence of 0/1 values.
@@ -33,17 +51,17 @@ class BitString:
 
     @classmethod
     def from_index(cls, value: int, length: int) -> BitString:
-        if value < 0 or value >= (1 << length):
-            raise ValueError(f"index {value} out of range for {length} bits")
+        length = _integral(length, "length", 0, MAX_MATERIALIZED_LEN)
+        value = _integral(value, "index", 0, (1 << length) - 1)
         return cls(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
     @classmethod
     def zeros(cls, length: int) -> BitString:
-        return cls((0,) * length)
+        return cls((0,) * _integral(length, "length", 0, MAX_MATERIALIZED_LEN))
 
     @classmethod
     def ones(cls, length: int) -> BitString:
-        return cls((1,) * length)
+        return cls((1,) * _integral(length, "length", 0, MAX_MATERIALIZED_LEN))
 
     def to_index(self) -> int:
         value = 0

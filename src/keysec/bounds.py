@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .bits import _integral
 from .probdist import binary_entropy
 
 LOG10_2 = math.log10(2.0)
@@ -71,7 +72,8 @@ class LogProb:
 
     @classmethod
     def one_minus_pow2(cls, l: int) -> LogProb:
-        """1 - 2^(-l), complement exponent exact for any l."""
+        """1 - 2^(-l), complement exponent exact for any key length l."""
+        l = _check_key_len(l)
         x = 2.0 ** (-l)  # underflows to 0.0 for very large l; complement stays exact
         return cls(math.log1p(-x) / math.log(2.0), log2_complement=float(-l))
 
@@ -91,16 +93,15 @@ class LogProb:
         return self.log2_complement * LOG10_2
 
 
-def _check_key_len(l: int) -> None:
-    if not 1 <= l <= MAX_EXACT_LEN:
-        raise ValueError("key length must be >= 1 and <= 2^53")
+def _check_key_len(l: int) -> int:
+    return _integral(l, "key length", 1, MAX_EXACT_LEN)
 
 
 def _root_plus_uniform(eps_bar: float, l: int, root: float) -> LogProb:
     # eps_bar^(1/root) + 2^(-l) by log-sum-exp in base 2, capped at 1
     if not 0.0 <= eps_bar <= 1.0:
         raise ValueError(f"eps_bar must be in [0, 1], got {eps_bar}")
-    _check_key_len(l)
+    l = _check_key_len(l)
     if eps_bar == 0.0:
         return LogProb.from_log2(float(-l))
     return LogProb.from_log2(log2_add(math.log2(eps_bar) / root, float(-l)))
@@ -140,7 +141,7 @@ def leakage_profile(l: int, eps: float) -> LeakageProfile:
     worked figure of roughly 1,500 leaked bits per 10^4 at eps = 1e-2;
     the alternative reading l / log(1/l) is rejected (see README).
     """
-    _check_key_len(l)
+    l = _check_key_len(l)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be strictly inside (0, 1), got {eps}")
     f = -math.log2(eps)
@@ -149,7 +150,7 @@ def leakage_profile(l: int, eps: float) -> LeakageProfile:
 
 def required_epsilon(l: int) -> LogProb:
     """Guess probability of a perfectly uniform l-bit key: 2^(-l)."""
-    _check_key_len(l)
+    l = _check_key_len(l)
     return LogProb.from_log2(float(-l))
 
 
@@ -185,8 +186,8 @@ class FiniteKeyParams:
     eps_bar: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_EXACT_LEN:
-            raise ValueError("block length n must be >= 1 and <= 2^53")
+        object.__setattr__(
+            self, "n", _integral(self.n, "block length n", 1, MAX_EXACT_LEN))
         if not (self.q >= 0.0 and self.mu >= 0.0 and self.q + self.mu <= 1.0):
             raise ValueError("need 0 <= Q, 0 <= mu, Q + mu <= 1")
         for name in ("p_fail", "eps_cor"):

@@ -58,9 +58,8 @@ def _load(loader, path: str, kind: str):
         return loader(path)
     except FileNotFoundError:
         raise CliError(f"{kind} file not found: {path}")
-    # a field of the wrong JSON type surfaces as TypeError or KeyError, an
-    # integer too large for a float (a 401-digit mass) as OverflowError
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    # OverflowError: an integer too large for a float (a 401-digit mass)
+    except (ValueError, OverflowError) as exc:
         raise CliError(f"malformed {kind} file {path}: {exc}")
 
 
@@ -74,8 +73,6 @@ class CliError(Exception):
 def _cmd_bounds(args) -> dict:
     if not 0.0 <= args.eps_bar <= 1.0:
         raise CliError(f"--eps-bar must be in [0, 1], got {args.eps_bar}")
-    if args.key_len < 1:
-        raise CliError("--key-len must be >= 1")
     doc = {"command": "bounds", "eps_bar": args.eps_bar,
            "key_len": args.key_len}
     doc.update(_prob_fields("yuen_bound",
@@ -252,7 +249,7 @@ def _cmd_report(args) -> dict:
     doc["pipeline_efficiency"] = eff.ratio
 
     spike = attacks.spike_distribution(4, 0.1, BitString.from_str("1010"))
-    contra = coupling.contradiction_report(spike.expand_dense())
+    contra = coupling.contradiction_report(spike)
     doc["contradiction_spike_bits"] = 4
     doc["contradiction_spike_eps"] = 0.1
     doc["contradiction_delta"] = contra.delta
@@ -276,8 +273,7 @@ def _cmd_report(args) -> dict:
 
     key_law = attacks.spike_distribution(12, 2.0 ** -4,
                                          BitString.from_str("101011001110"))
-    kpa = attacks.kpa_next_bits(key_law.expand_dense(),
-                                BitString.from_str("1010"))
+    kpa = attacks.kpa_next_bits(key_law, BitString.from_str("1010"))
     doc["kpa_known_bits"] = 4
     doc["kpa_map_guess"] = str(kpa.map_guess)
     doc["kpa_posterior"] = kpa.map_posterior

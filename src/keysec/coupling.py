@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bounds import LogProb, _check_key_len
+from .bounds import LogProb
 from .probdist import (DENSE_BITS_CAP, ConditionalChannel, Distribution,
                        JointDistribution, _check_same_space, _total_variation,
                        statistical_distance)
@@ -165,7 +165,6 @@ def independent_coupling_failure(l: int) -> LogProb:
     Independent of the distribution of K, since sum_k P(k) 2^(-l) = 2^(-l)
     for every P(K).  Kept exact through the complement exponent -l.
     """
-    _check_key_len(l)
     return LogProb.one_minus_pow2(l)
 
 

@@ -14,20 +14,10 @@ import os
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _integral
 
 DENSE_BITS_CAP = 20
 SUM_TOLERANCE = 1e-9
-
-
-def _integral(value, name: str) -> int:
-    """``value`` as an int; NaN, infinities and fractions are refused."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _outcome_index(outcome, outcome_bits: int) -> int:
@@ -36,17 +26,15 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
             raise ValueError(
                 f"outcome has {len(outcome)} bits, expected {outcome_bits}")
         return outcome.to_index()
-    idx = _integral(outcome, "outcome index")
-    if idx < 0 or idx >= (1 << outcome_bits):
-        raise ValueError(f"outcome index {idx} out of range for {outcome_bits} bits")
-    return idx
+    return _integral(outcome, "outcome index", 0, (1 << outcome_bits) - 1)
 
 
 def _validated_masses(arr: np.ndarray) -> np.ndarray:
     # NaN fails ``>= 0``, so it is rejected together with negative masses.
     if not np.all(arr >= 0):
         raise ValueError("negative or NaN probability mass")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):  # huge masses sum to inf, refused below
+        total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"masses sum to {total!r}, outside 1 +- {SUM_TOLERANCE}")
     if total != 1.0:
@@ -69,8 +57,6 @@ class Distribution:
 
     def __init__(self, outcome_bits: int, masses):
         outcome_bits = _integral(outcome_bits, "outcome_bits")
-        if outcome_bits < 0:
-            raise ValueError("outcome_bits must be >= 0")
         if outcome_bits > DENSE_BITS_CAP:
             raise ValueError(
                 f"dense storage capped at {DENSE_BITS_CAP} bits; "
@@ -105,6 +91,7 @@ class Distribution:
         """
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        outcome_bits = _integral(outcome_bits, "outcome_bits")
         idx = _outcome_index(outcome, outcome_bits)
         self = object.__new__(cls)
         self.outcome_bits = outcome_bits
@@ -114,6 +101,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, outcome_bits: int) -> Distribution:
+        outcome_bits = _integral(outcome_bits, "outcome_bits")
         if outcome_bits <= DENSE_BITS_CAP:
             n = 1 << outcome_bits
             return cls._raw_dense(outcome_bits, np.full(n, 1.0 / n))
@@ -121,6 +109,7 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, outcome_bits: int, outcome) -> Distribution:
+        outcome_bits = _integral(outcome_bits, "outcome_bits")
         if outcome_bits <= DENSE_BITS_CAP:
             arr = np.zeros(1 << outcome_bits)
             arr[_outcome_index(outcome, outcome_bits)] = 1.0
@@ -204,6 +193,8 @@ class JointDistribution:
     __slots__ = ("x_bits", "y_bits", "masses")
 
     def __init__(self, x_bits: int, y_bits: int, masses):
+        x_bits = _integral(x_bits, "x_bits")
+        y_bits = _integral(y_bits, "y_bits")
         arr = np.array(masses, dtype=float)
         if arr.shape != (1 << x_bits, 1 << y_bits):
             raise ValueError(
@@ -231,6 +222,8 @@ class ConditionalChannel:
     __slots__ = ("in_bits", "out_bits", "matrix")
 
     def __init__(self, in_bits: int, out_bits: int, rows):
+        in_bits = _integral(in_bits, "in_bits")
+        out_bits = _integral(out_bits, "out_bits")
         mat = np.array(rows, dtype=float)
         if mat.shape != (1 << in_bits, 1 << out_bits):
             raise ValueError(
@@ -244,6 +237,7 @@ class ConditionalChannel:
 
     @classmethod
     def identity(cls, bits: int) -> ConditionalChannel:
+        bits = _integral(bits, "bits")
         return cls(bits, bits, np.eye(1 << bits))
 
     @classmethod
@@ -290,10 +284,9 @@ def _total_variation(a, b) -> float:
 
 
 def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
-    # Closed form for spaces too large to materialize.  (2^l - 1) * 2^-l and
-    # (2^l - 2) * 2^-l are rewritten as 1 - u and 1 - 2u to avoid overflow.
-    if not (p.is_spike and q.is_spike):
-        raise ValueError("large outcome spaces require spike form")
+    # Closed form for spaces too large to materialize, where every law is a
+    # spike.  (2^l - 1) * 2^-l and (2^l - 2) * 2^-l are rewritten as 1 - u
+    # and 1 - 2u to avoid overflow.
     l = p.outcome_bits
     u = 2.0 ** (-l)
     (i1, e1), (i2, e2) = p.spike_params, q.spike_params

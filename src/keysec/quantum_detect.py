@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .bits import _integral
 from .probdist import (Distribution, _fmt, _json_numbers, _json_size,
                        _read_document, _total_variation)
 
@@ -24,8 +25,12 @@ def _as_square_complex(entries, what: str) -> np.ndarray:
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{what} has non-finite entries")
+    _integral(mat.shape[0], f"{what} dimension", 1)
+    if mat.shape[0] > DIM_CAP:
+        raise ValueError(f"dimension capped at {DIM_CAP}, got {mat.shape[0]}")
+    # valid entries have modulus <= 1; far larger ones would overflow below
+    if not np.all(np.abs(mat) <= 2.0):
+        raise ValueError(f"{what} has non-finite entries or |entry| > 2")
     return mat
 
 
@@ -48,13 +53,10 @@ class DensityMatrix:
 
     def __init__(self, entries):
         mat = _as_square_complex(entries, "density matrix")
-        dim = mat.shape[0]
-        if dim > DIM_CAP:
-            raise ValueError(f"dimension capped at {DIM_CAP}, got {dim}")
         mat = _hermitian_psd(mat, "density matrix")
         if abs(mat.trace().real - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"trace {mat.trace().real!r} differs from 1")
-        self.dim = dim
+        self.dim = mat.shape[0]
         self.mat = mat
         self.mat.flags.writeable = False
 
@@ -77,6 +79,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> DensityMatrix:
+        dim = _integral(dim, "dim", 1, DIM_CAP)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
@@ -88,7 +91,7 @@ class DensityMatrix:
 
 
 class Povm:
-    """Measurement: a list of PSD elements summing to the identity."""
+    """Measurement: PSD elements of dim <= 16 summing to the identity."""
 
     __slots__ = ("dim", "elements")
 
@@ -110,6 +113,7 @@ class Povm:
 
     @classmethod
     def computational_basis(cls, dim: int) -> Povm:
+        dim = _integral(dim, "dim", 1, DIM_CAP)
         eye = np.eye(dim, dtype=complex)
         return cls([np.outer(eye[i], eye[i]) for i in range(dim)])
 

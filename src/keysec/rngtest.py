@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _integral
 from .bounds import LogProb
 from .coupling import independent_coupling_failure
-from .probdist import (ConditionalChannel, Distribution, _integral,
-                       _total_variation, statistical_distance)
+from .probdist import (ConditionalChannel, Distribution, _total_variation,
+                       statistical_distance)
 
 BLOCK_LEN_CAP = 16
 # forward-scan steps in sample_blocks before the binary-search fallback
@@ -36,10 +36,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of the SplitMix64 stream for seed."""
-    seed, count = _integral(seed, "seed"), _integral(count, "count")
-    offset = _integral(offset, "offset")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    seed = _integral(seed, "seed", 0, (1 << 64) - 1)
+    count, offset = _integral(count, "count"), _integral(offset, "offset")
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -75,16 +73,9 @@ class MarkovSource:
 SourceModel = BernoulliSource | MarkovSource
 
 
-def _block_len(value) -> int:
-    block_len = _integral(value, "block_len")
-    if not 1 <= block_len <= BLOCK_LEN_CAP:
-        raise ValueError(f"block_len must be in [1, {BLOCK_LEN_CAP}]")
-    return block_len
-
-
 def block_distribution(model: SourceModel, block_len: int) -> Distribution:
     """Exact law of one block under the model."""
-    block_len = _block_len(block_len)
+    block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     if isinstance(model, BernoulliSource):
         # the Markov chain whose transition rows both equal the initial law
         p1 = 0.5 + model.bias
@@ -108,7 +99,8 @@ class SampleSet:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "block_len", _block_len(self.block_len))
+        object.__setattr__(self, "block_len", _integral(
+            self.block_len, "block_len", 1, BLOCK_LEN_CAP))
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.size == 0:
             raise ValueError("sample set must be nonempty")
@@ -160,10 +152,8 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     one bucket by a skewed law) finish by binary search.  Both find the same j, the
     number of T[j] <= m, so the values do not depend on the lookup.
     """
-    block_len = _block_len(block_len)
-    count = _integral(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
+    count = _integral(count, "count", 1)
     cdf = np.cumsum(block_distribution(model, block_len).masses)
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
@@ -188,7 +178,7 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
     The one-bit iid case is the closed form |bias|, kept exact rather
     than recovered through lossy 0.5 + bias float round trips.
     """
-    block_len = _block_len(block_len)
+    block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     if isinstance(model, BernoulliSource) and block_len == 1:
         return abs(model.bias)
     return statistical_distance(block_distribution(model, block_len),

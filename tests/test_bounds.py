@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -319,3 +320,52 @@ class TestLengthsBeyondExactFloats:
         for n in (2**53 + 1, 10**400):
             with pytest.raises(ValueError, match="block length n"):
                 FiniteKeyParams(n=n, q=0.05)
+
+
+class TestMpmathOracle:
+    """Log-domain bounds against 60-digit mpmath at 1e-15 relative error."""
+
+    REL = 1e-15
+
+    def close(self, got, exact):
+        return abs(mpmath.mpf(got) - exact) <= self.REL * abs(exact)
+
+    def test_log2_add_random_exponents(self):
+        rng = np.random.default_rng(2014)
+        with mpmath.workdps(60):
+            for a, b in rng.uniform(-2000.0, 0.0, size=(500, 2)):
+                exact = mpmath.log(mpmath.mpf(2) ** a + mpmath.mpf(2) ** b, 2)
+                # the result can be near 0, so the error is scaled by >= 1
+                assert abs(mpmath.mpf(log2_add(a, b)) - exact) <= \
+                    self.REL * max(1, abs(exact)), (a, b)
+
+    def test_one_minus_pow2_normal_range(self):
+        # log2(1 - 2^-l), about -2^-l / ln 2, is a normal float up to l = 1022
+        with mpmath.workdps(60):
+            for l in range(1, 1023):
+                exact = mpmath.log1p(-mpmath.mpf(2) ** -l) / mpmath.log(2)
+                lp = LogProb.one_minus_pow2(l)
+                assert self.close(lp.log2_value, exact), l
+                assert lp.log2_complement == -l
+
+    @pytest.mark.parametrize("l", [1023, 1074, 1075, 10 ** 4, 10 ** 6])
+    def test_one_minus_pow2_subnormal_range(self, l):
+        # the value rounds to a subnormal or to 0; the complement stays exact
+        with mpmath.workdps(60):
+            exact = mpmath.log1p(-mpmath.mpf(2) ** -l) / mpmath.log(2)
+            lp = LogProb.one_minus_pow2(l)
+            assert abs(mpmath.mpf(lp.log2_value) - exact) <= 2.0 ** -1074
+            assert lp.log2_complement == -l
+
+    @pytest.mark.parametrize("eps_bar", [0.0, 1e-300, 1e-6, 1e-2, 1.0])
+    @pytest.mark.parametrize("l", [1, 53, 1074, 10 ** 4, 10 ** 6])
+    @pytest.mark.parametrize("fn, root", [(yuen_upper_bound, 1),
+                                          (markov_individual_bound, 3)])
+    def test_bounds(self, fn, root, eps_bar, l):
+        with mpmath.workdps(60):
+            # eps_bar^(1/root) + 2^-l, capped at 1
+            exact = min(mpmath.mpf(0), mpmath.log(
+                mpmath.root(mpmath.mpf(eps_bar), root)
+                + mpmath.mpf(2) ** -l, 2))
+            # exact is 0 where the cap applies, and then got must be 0 too
+            assert self.close(fn(eps_bar, l).log2_value, exact)

@@ -95,6 +95,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="capped"):
             DensityMatrix(np.eye(32) / 32)
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="matrix dimension must be >= 1"):
+            DensityMatrix(np.zeros((0, 0)))
+
     def test_pure_state_normalizes(self):
         rho = DensityMatrix.pure([3.0, 4.0])
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
@@ -134,6 +138,14 @@ class TestPovm:
         bad = np.array([[1.5, 0.0], [0.0, -0.5]])
         with pytest.raises(ValueError, match="POVM element is not positive"):
             Povm([bad, np.eye(2) - bad])
+
+    def test_rejects_large_dimension(self):
+        with pytest.raises(ValueError, match="capped"):
+            Povm([np.eye(17)])
+
+    def test_rejects_empty_element(self):
+        with pytest.raises(ValueError, match="element dimension must be >= 1"):
+            Povm([np.zeros((0, 0))])
 
     def test_outcome_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -295,6 +307,18 @@ class TestFileFormat:
                 '[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]}')
         povm = loads_povm(text)
         assert len(povm.elements) == 2
+
+    def test_zero_dimension_matrix(self):
+        from keysec.quantum_detect import loads_matrix
+        with pytest.raises(ValueError, match="matrix dimension must be >= 1"):
+            loads_matrix('{"dim": 0, "entries": []}')
+
+    def test_dimension_17_povm_file(self):
+        from keysec.quantum_detect import loads_povm
+        pairs = ", ".join("[1, 0]" if i % 18 == 0 else "[0, 0]"
+                          for i in range(17 * 17))
+        with pytest.raises(ValueError, match="capped"):
+            loads_povm('{"dim": 17, "elements": [[%s]]}' % pairs)
 
     def test_malformed_matrix(self):
         from keysec.quantum_detect import loads_matrix
