@@ -26,7 +26,11 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
             raise ValueError(
                 f"outcome has {len(outcome)} bits, expected {outcome_bits}")
         return outcome.to_index()
-    return _integral(outcome, "outcome index", 0, (1 << outcome_bits) - 1)
+    idx = _integral(outcome, "outcome index")
+    if idx.bit_length() > outcome_bits:
+        # only now is 2^outcome_bits below idx, so the cap is cheap to build
+        _integral(idx, "outcome index", 0, (1 << outcome_bits) - 1)
+    return idx
 
 
 def _validated_masses(arr: np.ndarray) -> np.ndarray:

@@ -28,6 +28,9 @@ from .probdist import (ConditionalChannel, Distribution, _total_variation,
 BLOCK_LEN_CAP = 16
 # forward-scan steps in sample_blocks before the binary-search fallback
 _SCAN_STEPS = 4
+# blocks per SplitMix64 call in sample_blocks: the chunk's temporaries
+# stay in cache, and memory beyond the values does not grow with count
+_CHUNK = 1 << 14
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -35,14 +38,22 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Outputs offset+1 .. offset+count of the SplitMix64 stream for seed."""
+    """Outputs offset+1 .. offset+count of the SplitMix64 stream for seed.
+
+    The counter runs up to 2^64, so offset + count may not exceed it.
+    """
     seed = _integral(seed, "seed", 0, (1 << 64) - 1)
-    count, offset = _integral(count, "count"), _integral(offset, "offset")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(seed) + idx * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    count = _integral(count, "count", 0, 1 << 64)
+    offset = _integral(offset, "offset", 0, (1 << 64) - count)
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,11 @@ class SampleSet:
     def __post_init__(self):
         object.__setattr__(self, "block_len", _integral(
             self.block_len, "block_len", 1, BLOCK_LEN_CAP))
-        vals = np.asarray(self.values, dtype=np.int64)
+        raw = np.asarray(self.values)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+            vals = raw.astype(np.int64, copy=False)
+        if vals is not raw and not np.array_equal(vals, raw):
+            raise ValueError("block values must be integers")
         if vals.size == 0:
             raise ValueError("sample set must be nonempty")
         if vals.min() < 0 or vals.max() >= (1 << self.block_len):
@@ -151,24 +166,33 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     still scanning after ``_SCAN_STEPS`` steps (thresholds crowded into
     one bucket by a skewed law) finish by binary search.  Both find the same j, the
     number of T[j] <= m, so the values do not depend on the lookup.
+
+    Blocks are drawn ``_CHUNK`` at a time through ``splitmix64``'s offset,
+    an exact partition of the stream, so beyond the 8-byte values memory
+    is O(_CHUNK + 2^block_len) whatever the count.
     """
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     count = _integral(count, "count", 1)
     cdf = np.cumsum(block_distribution(model, block_len).masses)
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
-    top53 = splitmix64(seed, count) >> np.uint64(11)
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
     n_buckets = 1 << (block_len + 1)
     lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
     guide = np.cumsum(np.bincount(lowest.astype(np.int64),
                                   minlength=n_buckets + 1))[:n_buckets]
-    values = guide[top53 >> np.uint64(shift)]
-    active = np.flatnonzero(thresholds[values] <= top53)
-    for _ in range(_SCAN_STEPS):
-        values[active] += 1
-        active = active[thresholds[values[active]] <= top53[active]]
-    values[active] = np.searchsorted(thresholds, top53[active], side="right")
+    values = np.empty(count, dtype=np.int64)
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
+        top53 = splitmix64(seed, n, start) >> np.uint64(11)
+        chunk = guide[top53 >> np.uint64(shift)]
+        active = np.flatnonzero(thresholds[chunk] <= top53)
+        for _ in range(_SCAN_STEPS):
+            chunk[active] += 1
+            active = active[thresholds[chunk[active]] <= top53[active]]
+        chunk[active] = np.searchsorted(thresholds, top53[active],
+                                        side="right")
+        values[start:start + n] = chunk
     return SampleSet(block_len=block_len, values=values, seed=seed)
 
 

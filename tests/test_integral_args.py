@@ -160,6 +160,25 @@ class TestUpperEnds:
                            match="prefix length must be >= 1 and <= 3"):
             kpa_next_bits(Distribution.uniform(4), BitString.from_str(prefix))
 
+    @pytest.mark.parametrize("offset", [2**64 - 2, 2**64])
+    def test_splitmix64_counter_beyond_2_to_64(self, offset):
+        assert len(splitmix64(1, 3, 2**64 - 3)) == 3
+        with pytest.raises(ValueError,
+                           match=f"offset must be >= 0 and <= {2**64 - 3}"):
+            splitmix64(1, 3, offset)
+
+    def test_splitmix64_count_beyond_2_to_64(self):
+        with pytest.raises(ValueError,
+                           match=f"count must be >= 0 and <= {2**64}"):
+            splitmix64(1, 2**64 + 1)
+
+    @pytest.mark.parametrize("call", [lambda v: Distribution.spike(4, 0.1, v),
+                                      lambda v: Distribution.uniform(4).prob(v)])
+    def test_outcome_index_beyond_length(self, call):
+        with pytest.raises(ValueError,
+                           match="outcome index must be >= 0 and <= 15, got 16"):
+            call(16)
+
     def test_out_len_beyond_key(self):
         with pytest.raises(ValueError, match="out_len must be >= 0 and <= 2"):
             toeplitz_hash(KEY2, BitString.from_str("1011"), 3)

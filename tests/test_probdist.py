@@ -52,6 +52,12 @@ class TestDistributionConstruction:
     def test_spike_outcome_of_any_integral_type(self, outcome):
         assert Distribution.spike(4, 0.1, outcome).spike_params == (2, 0.1)
 
+    def test_spike_lookup_at_huge_length(self):
+        # the range check reads bit lengths; 2^(2^40) is never built
+        d = Distribution.spike(2**40, 0.5, 0)
+        assert d.prob(0) == 0.5 + d._background()
+        assert d.prob(1 << 41) == d._background()
+
     def test_integral_float_outcome_bits(self):
         d = Distribution(1.0, [0.5, 0.5])
         assert d.outcome_bits == 1 and type(d.outcome_bits) is int

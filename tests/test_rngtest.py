@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,8 +205,9 @@ class TestSampleBlocks:
         outputs = sorted({(int(m) << 11) | low
                           for e in edges for m in (e - 1, e, e + 1)
                           for low in (0, 2047)} | {(1 << 64) - 1})
-        monkeypatch.setattr(rngtest, "splitmix64",
-                            lambda seed, count: np.array(outputs, np.uint64))
+        monkeypatch.setattr(
+            rngtest, "splitmix64", lambda seed, count, offset=0:
+            np.array(outputs, np.uint64)[offset:offset + count])
         s = sample_blocks(model, block_len, len(outputs), seed=0)
         expected = float_lookup(model, block_len, outputs)
         assert expected[-1] == (1 << block_len) - 1
@@ -220,8 +222,9 @@ class TestSampleBlocks:
         outputs = outputs_around(cdf[cdf <= 2.0 ** -(block_len + 1)])
         assert max(scan_steps(model, block_len, outputs)) > \
             rngtest._SCAN_STEPS
-        monkeypatch.setattr(rngtest, "splitmix64",
-                            lambda seed, count: np.array(outputs, np.uint64))
+        monkeypatch.setattr(
+            rngtest, "splitmix64", lambda seed, count, offset=0:
+            np.array(outputs, np.uint64)[offset:offset + count])
         s = sample_blocks(model, block_len, len(outputs), seed=0)
         assert s.values.tolist() == float_lookup(model, block_len, outputs)
 
@@ -235,10 +238,32 @@ class TestSampleBlocks:
         steps = scan_steps(model, block_len, outputs)
         assert any(1 < k <= rngtest._SCAN_STEPS for k in steps)
         assert max(steps) > rngtest._SCAN_STEPS
-        monkeypatch.setattr(rngtest, "splitmix64",
-                            lambda seed, count: np.array(outputs, np.uint64))
+        monkeypatch.setattr(
+            rngtest, "splitmix64", lambda seed, count, offset=0:
+            np.array(outputs, np.uint64)[offset:offset + count])
         s = sample_blocks(model, block_len, len(outputs), seed=0)
         assert s.values.tolist() == float_lookup(model, block_len, outputs)
+
+    @pytest.mark.parametrize("count", [
+        rngtest._CHUNK - 1, rngtest._CHUNK, rngtest._CHUNK + 1,
+        2 * rngtest._CHUNK + 3])
+    def test_chunk_boundaries_match_float_lookup(self, count):
+        model, block_len, seed = BernoulliSource(1e-4), 16, 77
+        s = sample_blocks(model, block_len, count, seed)
+        assert s.values.tolist() == float_lookup(
+            model, block_len, scalar_splitmix64(seed, count))
+
+    def test_peak_memory_is_values_plus_constant(self):
+        # values take 8 bytes a block; everything else is per chunk or per
+        # outcome (about 3.1 MiB at 16 bits), so the margin does not scale
+        count = 10**6
+        tracemalloc.start()
+        try:
+            sample_blocks(BernoulliSource(1e-4), 16, count, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + 4 * 2**20
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
@@ -333,6 +358,17 @@ class TestSampleSetType:
     def test_value_range_checked(self):
         with pytest.raises(ValueError):
             SampleSet(2, np.array([4]))
+
+    @pytest.mark.parametrize("values", [[1.7, 2.2], [1, np.nan], [np.inf],
+                                        ["1", "2"]], ids=repr)
+    def test_non_integral_values_rejected(self, values):
+        with pytest.raises(ValueError, match="block values must be integers"):
+            SampleSet(4, values)
+
+    def test_integral_values_of_any_type_accepted(self):
+        for values in ([1.0, 2.0], np.array([1, 2], np.uint64), [1, 2]):
+            s = SampleSet(4, values)
+            assert s.values.dtype == np.int64 and s.values.tolist() == [1, 2]
 
     def test_blocks_round_trip(self):
         blocks = [BitString.from_str("101"), BitString.from_str("010")]
