@@ -19,12 +19,6 @@ LOG10_2 = math.log10(2.0)
 # above 2^53 a length is not an exact float: -l rounds, l * x can overflow
 MAX_EXACT_LEN = 2**53
 
-# Bisection controls for the security-rate solver.
-RATE_EPS_FLOOR_LOG2 = -200
-RATE_REL_TOL = 1e-3
-RATE_MAX_ITER = 200
-RATE_ACCEPT_REL_DEV = 0.05
-
 # Documented defaults for the rate trade-off demonstration.  The QBER sits
 # just above the positive-key-rate threshold (asymptotic secret fraction
 # about 1%), the regime where the block-length penalty dominates.
@@ -214,11 +208,15 @@ def extractable_key_length(p: FiniteKeyParams) -> int:
     """
     if p.eps_bar is None:
         raise ValueError("eps_bar is required for a key-length evaluation")
-    penalty = (1.0 + math.log2(p.p_fail) - 2.0 * math.log2(p.eps_bar)
+    return max(0, math.floor(_key_bits(p, p.eps_bar)))
+
+
+def _key_bits(p: FiniteKeyParams, eps_bar: float) -> float:
+    # the key-length formula before the floor
+    penalty = (1.0 + math.log2(p.p_fail) - 2.0 * math.log2(eps_bar)
                - math.log2(p.eps_cor))
-    bits = (p.n * (1.0 - binary_entropy(p.q + p.mu))
+    return (p.n * (1.0 - binary_entropy(p.q + p.mu))
             - p.effective_leak_ec - penalty)
-    return max(0, math.floor(bits))
 
 
 @dataclass(frozen=True)
@@ -230,51 +228,49 @@ class RateSolution:
 
 def epsilon_for_security_rate(s_target: float,
                               params: FiniteKeyParams) -> RateSolution:
-    """Solve eps_bar / l(eps_bar) = s_target for eps_bar.
+    """Least root eps_bar of eps_bar / l(eps_bar) = s_target.
 
-    l(eps_bar) is nondecreasing in eps_bar and the ratio eps_bar / l is
-    increasing wherever l > 0, so bisection on the predicate
-    "l >= 1 and eps_bar / l >= s_target" brackets the crossing.  Raises
-    NoSolutionError when no positive key length exists anywhere in the
-    bracket or when the closest achievable ratio misses the target by
-    more than 5% relative: that is the vanishing-rate regime, where the
-    demanded per-bit security cannot be met at this block length.
+    With L the key length, the roots are eps_bar = s l for the l >= 1 with
+    L(s l) = l and s l <= 1.  l = 1 and 2 are tried directly.  From l = 3
+    on, L(s (l + 1)) - L(s l) <= 1 since 2 log2(4/3) < 1, so L(s l) - l is
+    nonincreasing and the first l <= L(1) where it is <= 0 is the only
+    candidate left.  Raises NoSolutionError exactly when no root exists.
+    Step k of L starts at eps_k = 2^((k - L*) / 2), L* the unfloored length
+    at eps_bar = 1; targets from min_k eps_k / k (k = 3 when L(1) >= 3) up
+    to 1 / L(1) all have roots, and one below is the vanishing-rate regime:
+    this block length cannot meet the demanded per-bit security.
     """
     if not 0.0 < s_target < math.inf:
         raise ValueError("s_target must be positive and finite")
 
-    def key_len(eps: float) -> int:
-        return extractable_key_length(replace(params, eps_bar=eps))
+    def excess(l: int) -> int:
+        # L(s l) - l, or -1 once eps_bar = s l passes 1, past every root
+        eps = s_target * l
+        if eps > 1.0:
+            return -1
+        return extractable_key_length(replace(params, eps_bar=eps)) - l
 
-    def satisfied(eps: float) -> bool:
-        l = key_len(eps)
-        return l >= 1 and eps / l >= s_target
-
-    lo = 2.0 ** RATE_EPS_FLOOR_LOG2
-    hi = 1.0
-    if not satisfied(hi):
-        raise NoSolutionError(
-            f"no positive key length reaches security rate {s_target:g} "
-            f"at n={params.n}")
-    if satisfied(lo):
-        raise NoSolutionError(
-            f"security rate {s_target:g} lies below the solvable range "
-            f"at n={params.n}")
-    for _ in range(RATE_MAX_ITER):
-        mid = math.sqrt(lo * hi)
-        if satisfied(mid):
-            hi = mid
+    bits = _key_bits(params, 1.0)
+    top = max(0, math.floor(bits))  # L(1), the longest key at any eps_bar
+    lo, hi = 3, max(3, top)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if excess(mid) > 0:
+            lo = mid + 1
         else:
-            lo = mid
-        if hi / lo <= 1.0 + RATE_REL_TOL:
-            break
-    l = key_len(hi)
-    achieved = hi / l
-    if abs(achieved - s_target) > RATE_ACCEPT_REL_DEV * s_target:
+            hi = mid
+    for l in (1, 2, lo):
+        if excess(l) == 0:
+            return RateSolution(eps_bar=s_target * l, l=l, rate=l / params.n)
+    l = min(top, 3)
+    least = 2.0 ** ((l - bits) / 2.0) / l if l else 0.0
+    if s_target < least:
         raise NoSolutionError(
             f"rate vanishes at n={params.n}: closest achievable "
-            f"eps_bar/l is {achieved:.3e} (l={l}), target {s_target:g}")
-    return RateSolution(eps_bar=hi, l=l, rate=l / params.n)
+            f"eps_bar/l is {least:.3e} (l={l}), target {s_target:g}")
+    raise NoSolutionError(
+        f"no positive key length reaches security rate {s_target:g} "
+        f"at n={params.n}")
 
 
 def default_rate_params(n: int) -> FiniteKeyParams:

@@ -186,6 +186,8 @@ class ContradictionReport:
 
 def contradiction_report(p_k: Distribution) -> ContradictionReport:
     l = p_k.outcome_bits
+    if l <= DENSE_BITS_CAP:
+        p_k = p_k.expand_dense()  # once: .masses re-expands a spike per read
     uniform = Distribution.uniform(l)
     delta = statistical_distance(p_k, uniform)
     mismatch = maximal_mismatch(p_k, uniform)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -273,11 +274,163 @@ class TestRateSolver:
     def test_solution_internally_consistent(self):
         params = default_rate_params(10 ** 6)
         solution = epsilon_for_security_rate(1e-12, params)
-        from dataclasses import replace
         recomputed = extractable_key_length(
             replace(params, eps_bar=solution.eps_bar))
         assert recomputed == solution.l
         assert solution.rate == solution.l / params.n
+
+
+def _key_len(params, eps_bar):
+    return extractable_key_length(replace(params, eps_bar=eps_bar))
+
+
+def _least_root_by_scan(s_target, params):
+    # every l from 1 up to L(1), stopping where eps_bar = s l would pass 1
+    for l in range(1, _key_len(params, 1.0) + 1):
+        if s_target * l > 1.0:
+            return None
+        if _key_len(params, s_target * l) == l:
+            return l
+    return None
+
+
+def _closest_ratio(message):
+    # the figure in "closest achievable eps_bar/l is <x> (l=<k>)"
+    return float(message.split("eps_bar/l is ")[1].split()[0])
+
+
+class TestLeastRoot:
+    """The solver returns the least root, checked by scanning every l."""
+
+    def test_brute_force_scan(self):
+        # L(1) runs from 86 to 191 on this grid, so the scan is short
+        ns = list(range(10 ** 4, 2 * 10 ** 4 + 1, 1000)) + [11137, 11236]
+        solved = unsolved = 0
+        for n in ns:
+            params = default_rate_params(n)
+            for s_target in 10.0 ** np.linspace(-15.0, -12.0, 31):
+                s_target = float(s_target)
+                expected = _least_root_by_scan(s_target, params)
+                if expected is None:
+                    unsolved += 1
+                    with pytest.raises(NoSolutionError):
+                        epsilon_for_security_rate(s_target, params)
+                    continue
+                solved += 1
+                solution = epsilon_for_security_rate(s_target, params)
+                assert solution.l == expected, (n, s_target)
+                assert solution.eps_bar == s_target * expected
+                assert solution.rate == expected / n
+        assert solved > 100 and unsolved > 20  # both outcomes exercised
+
+    @pytest.mark.parametrize("n, s_target", [(11236, 1.8e-15),
+                                             (11137, 2.5e-15)])
+    def test_root_at_one_bit(self, n, s_target):
+        # a bisection on eps_bar / l >= s returned l = 7 here, a later root
+        # at n = 11236 and no root at all at n = 11137
+        solution = epsilon_for_security_rate(s_target, default_rate_params(n))
+        assert (solution.l, solution.eps_bar) == (1, s_target)
+
+    def test_extreme_target_solves(self):
+        params = default_rate_params(10 ** 7)
+        solution = epsilon_for_security_rate(1e-300, params)
+        assert solution.l == 102599
+        assert solution.eps_bar == 1e-300 * 102599
+        assert _key_len(params, solution.eps_bar) == solution.l
+        # least: 1 and 2 are no roots, and L(s l) > l just below the answer
+        assert _key_len(params, 1e-300) != 1
+        assert _key_len(params, 2e-300) != 2
+        assert _key_len(params, 1e-300 * 102598) > 102598
+
+    @pytest.mark.parametrize("s_target", [5e-324, 1e-320])
+    def test_subnormal_target(self, s_target):
+        # 1 / s_target is inf here; the search never forms it
+        solution = epsilon_for_security_rate(s_target,
+                                             default_rate_params(10 ** 7))
+        assert solution.eps_bar == s_target * solution.l
+        with pytest.raises(NoSolutionError, match="vanishes"):
+            epsilon_for_security_rate(s_target, default_rate_params(10 ** 4))
+
+    def test_closest_ratio_is_the_least(self):
+        with pytest.raises(NoSolutionError) as exc:
+            epsilon_for_security_rate(1e-14, default_rate_params(10 ** 4))
+        assert "closest achievable eps_bar/l is 7.666e-14 (l=3)" in \
+            str(exc.value)
+
+    @pytest.mark.parametrize("n", [10 ** 4, 11137, 15000, 20000])
+    def test_closest_ratio_is_exact(self, n):
+        # just above the printed figure a root exists, just below none
+        params = default_rate_params(n)
+        with pytest.raises(NoSolutionError) as exc:
+            epsilon_for_security_rate(1e-300, params)
+        least = _closest_ratio(str(exc.value))
+        assert epsilon_for_security_rate(least * 1.001, params).l == 3
+        with pytest.raises(NoSolutionError, match="vanishes"):
+            epsilon_for_security_rate(least * 0.999, params)
+
+    def test_target_above_every_ratio(self):
+        with pytest.raises(NoSolutionError, match="no positive key length"):
+            epsilon_for_security_rate(0.5, default_rate_params(10 ** 4))
+
+
+class TestKeyLengthFloorMpmath:
+    """The floor in extractable_key_length against 50-digit mpmath.
+
+    As in the benchmark's oracle, the result must be the floor of the
+    exact value, except that within 1e-6 of an integer either neighbour
+    is accepted: binary64 cannot place the value on one side there.
+    """
+
+    @staticmethod
+    def unfloored(params, eps_bar):
+        # the formula with the defaults' Leak_EC = 1.1 n h(Q) and mu = 0
+        with mpmath.workdps(50):
+            q = mpmath.mpf(params.q)
+            h = -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2)
+            penalty = mpmath.log(2 * mpmath.mpf(params.p_fail)
+                                 / (mpmath.mpf(eps_bar) ** 2
+                                    * mpmath.mpf(params.eps_cor)), 2)
+            return (params.n * (1 - h) - mpmath.mpf(1.1) * params.n * h
+                    - penalty)
+
+    @staticmethod
+    def agrees(length, exact):
+        floor = int(mpmath.floor(exact))
+        if length == max(0, floor):
+            return True
+        frac = float(exact - floor)
+        return min(frac, 1.0 - frac) < 1e-6 and abs(length - floor) <= 1
+
+    def step_start(self, params, k, shift):
+        # the float eps_bar at which the exact formula reaches k + shift;
+        # a normal float for the k used here, so the shift survives rounding
+        with mpmath.workdps(50):
+            top = self.unfloored(params, 1.0)
+            return float(mpmath.mpf(2) ** ((k + shift - top) / 2))
+
+    @pytest.mark.parametrize("n, ks", [
+        (10 ** 4, range(1, 87)),
+        (10 ** 7, [102599, 104498, 104499, 104500, 104559])])
+    def test_step_starts(self, n, ks):
+        params = default_rate_params(n)
+        assert extractable_key_length(replace(params, eps_bar=1.0)) == max(ks)
+        for k in ks:
+            for shift in (-0.5, -1e-10, 0.0, 1e-10):
+                eps_bar = self.step_start(params, k, shift)
+                exact = self.unfloored(params, eps_bar)
+                if shift != -0.5:  # the probe sits where the floor is tight
+                    assert abs(exact - k) < 1e-9, (k, shift)
+                assert self.agrees(_key_len(params, eps_bar), exact), \
+                    (k, shift)
+
+    @pytest.mark.parametrize("n, s_target", [
+        (10 ** 4, 1e-12), (11236, 1.8e-15), (11137, 2.5e-15),
+        (10 ** 7, 1e-14), (10 ** 7, 1e-300), (10 ** 7, 5e-324)])
+    def test_solver_roots(self, n, s_target):
+        params = default_rate_params(n)
+        solution = epsilon_for_security_rate(s_target, params)
+        assert self.agrees(solution.l, self.unfloored(params,
+                                                      solution.eps_bar))
 
 
 class TestNonFiniteInput:

@@ -13,6 +13,8 @@ from keysec import Distribution, DensityMatrix, save_distribution, save_matrix
 from keysec import cli
 from keysec.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -226,6 +228,13 @@ class TestMachineModeRoundTrip:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt, name", [("machine", "report_machine.json"),
+                                           ("text", "report_text.txt")])
+    def test_report_matches_golden(self, capsys, fmt, name):
+        code, out, _ = run(capsys, "--format", fmt, "report")
+        assert code == 0
+        assert out.encode() == (GOLDEN / name).read_bytes()
 
     def test_report_deterministic(self, capsys):
         _, out1, _ = run(capsys, "--format", "machine", "report")

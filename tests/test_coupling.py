@@ -238,6 +238,21 @@ class TestContradictionReport:
         assert report.maximal_mismatch == pytest.approx(expected, abs=1e-16)
         assert report.independent_failure == 1 - 2.0 ** -24
 
+    def test_spike_expanded_once(self, monkeypatch):
+        spike = Distribution.spike(12, 1e-3, 5)
+        dense = contradiction_report(spike.expand_dense())
+        expand = Distribution.expand_dense
+        expansions = []
+
+        def counting(self):
+            if self.is_spike:
+                expansions.append(self.outcome_bits)
+            return expand(self)
+
+        monkeypatch.setattr(Distribution, "expand_dense", counting)
+        assert contradiction_report(spike) == dense
+        assert expansions == [12]
+
     def test_failure_fixed_while_delta_varies(self):
         rng = np.random.default_rng(31)
         deltas = set()
