@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import MAX_MATERIALIZED_LEN, BitString, _integral
-from .probdist import (Distribution, JointDistribution,
-                       conditional_guessing_probability)
+from .probdist import (_BLOCK, Distribution, JointDistribution,
+                       _blockwise_sum, conditional_guessing_probability)
 
 PA_KEY_BITS_CAP = 10
 
@@ -53,6 +53,10 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     side information carrying no key correlation, which collapses by
     total probability to max_k p_k(k): the ciphertext observation leaves
     a uniformly keyed pad at exactly 2^(-l).
+
+    The unnormalized row p_k(k) p_x(c xor k) is never built whole: above
+    one cache block it is formed block by block, each key block pairing
+    with one plaintext block, and reduced to its total and argmax there.
     """
     l = p_k.outcome_bits
     if p_x.outcome_bits != l or len(c) != l:
@@ -62,16 +66,41 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     key_masses = p_k.masses
     plain_masses = p_x.masses
     c_idx = c.to_index()
-    # p_x evaluated at c xor k for every k, via index permutation
-    shuffled = plain_masses[np.bitwise_xor(np.arange(1 << l), c_idx)]
-    joint_row = key_masses * shuffled
-    p_c = float(joint_row.sum())
+    n = 1 << l
+    if n <= _BLOCK:
+        # p_x evaluated at c xor k for every k, via index permutation
+        joint_row = key_masses * plain_masses[np.bitwise_xor(np.arange(n),
+                                                             c_idx)]
+        p_c = float(joint_row.sum())
+        map_idx = int(np.argmax(joint_row))
+        map_mass = joint_row[map_idx]
+    else:
+        # keys lo .. lo + _BLOCK - 1 meet the plaintext block at lo xor
+        # the high bits of c, permuted within it by the low bits of c
+        c_high = c_idx & -_BLOCK
+        cols = np.arange(_BLOCK) ^ (c_idx & (_BLOCK - 1))
+        buf = np.empty(_BLOCK)
+        map_mass, map_idx = -1.0, 0
+
+        def block_sum(lo):
+            nonlocal map_mass, map_idx
+            start = lo ^ c_high
+            # every index is in range; with the default mode="raise",
+            # np.take copies through a hidden buffer
+            np.take(plain_masses[start:start + _BLOCK], cols, out=buf,
+                    mode="clip")
+            np.multiply(buf, key_masses[lo:lo + _BLOCK], out=buf)
+            j = int(buf.argmax())
+            if buf[j] > map_mass:  # strictly, so ties keep the lowest index
+                map_mass, map_idx = buf[j], lo + j
+            return buf.sum()
+
+        p_c = float(_blockwise_sum(n, block_sum))
     if p_c == 0.0:
         raise ValueError("ciphertext has zero probability under the model")
-    map_idx = int(np.argmax(joint_row))
     return AttackReport(
         map_guess=BitString.from_index(map_idx, l),
-        map_posterior=float(joint_row[map_idx] / p_c),
+        map_posterior=float(map_mass / p_c),
         avg_success=float(key_masses.max()),
     )
 

@@ -123,6 +123,10 @@ def _cmd_coupling(args) -> dict:
     if args.q is None:
         raise CliError("coupling needs --q FILE (or --contradiction)")
     q = _load(probdist.load_distribution, args.q, "distribution")
+    probdist._check_same_space(p, q)
+    if p.outcome_bits <= probdist.DENSE_BITS_CAP:
+        # once each: .masses re-expands a spike on every read
+        p, q = p.expand_dense(), q.expand_dense()
     doc = {"command": "coupling", "mode": "pair",
            "p_file": args.p, "q_file": args.q,
            "outcome_bits": p.outcome_bits,

@@ -15,8 +15,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bounds import LogProb
-from .probdist import (DENSE_BITS_CAP, ConditionalChannel, Distribution,
-                       JointDistribution, _check_same_space, _total_variation,
+from .probdist import (_BLOCK, DENSE_BITS_CAP, ConditionalChannel,
+                       Distribution, JointDistribution, _blockwise_sum,
+                       _check_same_space, _total_variation,
                        statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
@@ -60,10 +61,14 @@ def maximal_mismatch(p: Distribution, q: Distribution) -> float:
     the masses; above it both laws are spikes and the sum is closed form.
     """
     _check_same_space(p, q)
-    if p.outcome_bits <= DENSE_BITS_CAP:
+    if p.outcome_bits > DENSE_BITS_CAP:
+        agree = _spike_pair_overlap(p, q)
+    elif p.n_outcomes <= _BLOCK:
         agree = float(np.minimum(p.masses, q.masses).sum())
     else:
-        agree = _spike_pair_overlap(p, q)
+        a, b, buf = p.masses, q.masses, np.empty(_BLOCK)
+        agree = float(_blockwise_sum(a.size, lambda lo: np.minimum(
+            a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf).sum()))
     return min(1.0, max(0.0, 1.0 - agree))
 
 

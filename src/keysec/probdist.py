@@ -18,6 +18,9 @@ from .bits import BitString, _integral
 
 DENSE_BITS_CAP = 20
 SUM_TOLERANCE = 1e-9
+# elements per cache block, the unit that the 2^20-outcome kernels and the
+# sampler work in: 128 KiB of float64, so a block's temporaries stay in L2
+_BLOCK = 1 << 14
 
 
 def _outcome_index(outcome, outcome_bits: int) -> int:
@@ -282,9 +285,34 @@ def statistical_distance(p: Distribution, q: Distribution) -> float:
     return _spike_pair_distance(p, q)
 
 
+def _blockwise_sum(n: int, block_sum) -> float:
+    """``np.sum`` of n values from the sums of their aligned blocks.
+
+    ``block_sum(lo)`` returns the sum of values lo .. lo + _BLOCK - 1 (of
+    all n when n <= _BLOCK), and n must be a power of two.  numpy sums a
+    contiguous float64 array pairwise, splitting it in halves, so adding
+    the block sums in the same halving order gives the whole array's
+    ``np.sum`` bit for bit, while no temporary outgrows one block.
+    """
+    parts = np.array([block_sum(lo) for lo in range(0, n, _BLOCK)])
+    while parts.size > 1:
+        parts = parts[0::2] + parts[1::2]
+    return parts[0]
+
+
 def _total_variation(a, b) -> float:
     # (1/2) sum |a - b| over arrays of masses (or a scalar background).
-    return float(0.5 * np.abs(a - b).sum())
+    n = np.size(a)
+    if np.ndim(a) != 1 or n <= _BLOCK or n & (n - 1):
+        return float(0.5 * np.abs(a - b).sum())
+    buf = np.empty(_BLOCK)
+
+    def block_sum(lo):
+        b_lo = b[lo:lo + _BLOCK] if np.ndim(b) else b
+        np.subtract(a[lo:lo + _BLOCK], b_lo, out=buf)
+        return np.abs(buf, out=buf).sum()
+
+    return float(0.5 * _blockwise_sum(n, block_sum))
 
 
 def _spike_pair_distance(p: Distribution, q: Distribution) -> float:

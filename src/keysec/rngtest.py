@@ -22,15 +22,12 @@ import numpy as np
 from .bits import BitString, _integral
 from .bounds import LogProb
 from .coupling import independent_coupling_failure
-from .probdist import (ConditionalChannel, Distribution, _total_variation,
-                       statistical_distance)
+from .probdist import (_BLOCK, ConditionalChannel, Distribution,
+                       _total_variation, statistical_distance)
 
 BLOCK_LEN_CAP = 16
 # forward-scan steps in sample_blocks before the binary-search fallback
 _SCAN_STEPS = 4
-# blocks per SplitMix64 call in sample_blocks: the chunk's temporaries
-# stay in cache, and memory beyond the values does not grow with count
-_CHUNK = 1 << 14
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -167,9 +164,10 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     one bucket by a skewed law) finish by binary search.  Both find the same j, the
     number of T[j] <= m, so the values do not depend on the lookup.
 
-    Blocks are drawn ``_CHUNK`` at a time through ``splitmix64``'s offset,
-    an exact partition of the stream, so beyond the 8-byte values memory
-    is O(_CHUNK + 2^block_len) whatever the count.
+    Blocks are drawn one cache block (``probdist._BLOCK``) at a time
+    through ``splitmix64``'s offset, an exact partition of the stream, so
+    the chunk's temporaries stay in cache and beyond the 8-byte values
+    memory is O(_BLOCK + 2^block_len) whatever the count.
     """
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     count = _integral(count, "count", 1)
@@ -182,8 +180,8 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     guide = np.cumsum(np.bincount(lowest.astype(np.int64),
                                   minlength=n_buckets + 1))[:n_buckets]
     values = np.empty(count, dtype=np.int64)
-    for start in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - start)
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
         top53 = splitmix64(seed, n, start) >> np.uint64(11)
         chunk = guide[top53 >> np.uint64(shift)]
         active = np.flatnonzero(thresholds[chunk] <= top53)

@@ -107,6 +107,36 @@ class TestCouplingCommand:
                 expected, abs=1e-16)
             assert "oracle_min_mismatch" not in doc
 
+    def test_pair_expands_each_spike_once(self, capsys, tmp_path,
+                                          monkeypatch):
+        p, q = tmp_path / "p20.dist", tmp_path / "q20.dist"
+        save_distribution(Distribution.spike(20, 1e-3, 5), p)
+        save_distribution(Distribution.spike(20, 1e-6, 9), q)
+        dense = machine(capsys, "coupling", "--p", str(p), "--q", str(q))
+        expand = Distribution.expand_dense
+        expansions = []
+
+        def counting(self):
+            if self.is_spike:
+                expansions.append(self.outcome_bits)
+            return expand(self)
+
+        monkeypatch.setattr(Distribution, "expand_dense", counting)
+        assert machine(capsys, "coupling", "--p", str(p),
+                       "--q", str(q)) == dense
+        assert expansions == [20, 20]
+
+    def test_pair_outcome_spaces_checked_before_expanding(self, capsys,
+                                                         tmp_path):
+        p, q = tmp_path / "p20.dist", tmp_path / "q24.dist"
+        save_distribution(Distribution.spike(20, 1e-3, 5), p)
+        save_distribution(Distribution.spike(24, 1e-3, 5), q)
+        for a, b in ((p, q), (q, p)):
+            code, _, err = run(capsys, "coupling", "--p", str(a),
+                               "--q", str(b))
+            assert code == 2
+            assert "outcome spaces differ" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "coupling", "--p",
                            str(tmp_path / "nope.dist"), "--contradiction")

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from helpers import (direct_sum_distance_oracle, event_set_distance_oracle,
                      random_distribution, random_joint)
 from keysec import (BitString, ConditionalChannel, Distribution,
-                    JointDistribution, binary_entropy,
-                    conditional_guessing_probability, guessing_probability,
-                    statistical_distance)
-from keysec.probdist import dumps_distribution, loads_distribution
+                    JointDistribution, SampleSet, binary_entropy,
+                    ciphertext_only_attack, conditional_guessing_probability,
+                    empirical_distance, guessing_probability,
+                    maximal_mismatch, statistical_distance)
+from keysec.probdist import (_BLOCK, _blockwise_sum, dumps_distribution,
+                             loads_distribution)
 
 
 def masses_strategy(bits):
@@ -416,3 +418,70 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="non-finite"):
             loads_distribution(
                 '{"outcome_bits": 1, "masses": [%s, 1.0]}' % literal)
+
+
+class TestBlockwiseSum:
+    # the streamed kernels print np.sum's digits only while numpy keeps
+    # summing contiguous float64 arrays pairwise in halves
+    @pytest.mark.parametrize("bits", range(21))
+    def test_equals_np_sum_bit_for_bit(self, bits):
+        rng = np.random.default_rng(bits)
+        n = 1 << bits
+        for values in (rng.random(n), 10.0 ** rng.uniform(-300, 0, n)):
+            total = _blockwise_sum(n, lambda lo: values[lo:lo + _BLOCK].sum())
+            assert total == values.sum()
+
+
+class TestStreamedKernels:
+    """Kernels above one cache block against their one-shot expressions."""
+
+    @pytest.mark.parametrize("l", [15, 20])
+    def test_ciphertext_only_attack(self, l):
+        rng = np.random.default_rng(l)
+        p_x = random_distribution(rng, l, zero_outcomes=100)
+        p_k = random_distribution(rng, l)
+        for c in (0, (1 << l) - 1, int(rng.integers(1 << l))):
+            row = p_k.masses * p_x.masses[np.arange(1 << l) ^ c]
+            j = int(np.argmax(row))
+            report = ciphertext_only_attack(BitString.from_index(c, l),
+                                            p_x, p_k)
+            assert report.map_guess.to_index() == j
+            assert report.map_posterior == float(row[j] / float(row.sum()))
+            assert report.avg_success == float(p_k.masses.max())
+
+    @pytest.mark.parametrize("l", [15, 20])
+    def test_map_tie_across_blocks_goes_to_lowest_index(self, l):
+        rng = np.random.default_rng(l)
+        low, high = _BLOCK - 5, (1 << l) - 7
+        w = rng.random(1 << l)
+        w[[low, high]] = 2.0
+        p_k = Distribution(l, w / w.sum())
+        assert p_k.masses[low] == p_k.masses[high] == p_k.masses.max()
+        for c in (0, (1 << l) - 1):
+            report = ciphertext_only_attack(BitString.from_index(c, l),
+                                            Distribution.uniform(l), p_k)
+            assert report.map_guess.to_index() == low
+
+    @pytest.mark.parametrize("l", [15, 20])
+    def test_distance_and_overlap(self, l):
+        rng = np.random.default_rng(l)
+        p = random_distribution(rng, l, zero_outcomes=100)
+        for q in (random_distribution(rng, l), Distribution.uniform(l),
+                  Distribution.spike(l, 1e-6, 5).expand_dense()):
+            a, b = p.masses, q.masses
+            assert statistical_distance(p, q) == float(
+                0.5 * np.abs(a - b).sum())
+            assert maximal_mismatch(p, q) == min(1.0, max(
+                0.0, 1.0 - float(np.minimum(a, b).sum())))
+
+    @pytest.mark.parametrize("block_len", [15, 16])
+    def test_empirical_distance_scalar_background(self, block_len):
+        rng = np.random.default_rng(block_len)
+        s = SampleSet(block_len, rng.integers(0, 1 << block_len, 3 << 16))
+        assert empirical_distance(s) == float(
+            0.5 * np.abs(s.counts() / s.count - 2.0 ** -block_len).sum())
+
+    def test_zero_probability_ciphertext_at_dense_cap(self):
+        point = Distribution.point_mass(20, 0)
+        with pytest.raises(ValueError, match="zero probability"):
+            ciphertext_only_attack(BitString.from_index(1, 20), point, point)

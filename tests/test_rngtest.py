@@ -12,7 +12,7 @@ from keysec import (BernoulliSource, BitString, ConditionalChannel,
                     Distribution, MarkovSource, SampleSet, block_distribution,
                     empirical_distance, model_distance_to_uniform,
                     sample_blocks, uniformity_failure_report)
-from keysec import rngtest
+from keysec import probdist, rngtest
 from keysec.rngtest import splitmix64
 
 # 64-bit finalizer over a Weyl sequence; reference outputs from the
@@ -245,8 +245,8 @@ class TestSampleBlocks:
         assert s.values.tolist() == float_lookup(model, block_len, outputs)
 
     @pytest.mark.parametrize("count", [
-        rngtest._CHUNK - 1, rngtest._CHUNK, rngtest._CHUNK + 1,
-        2 * rngtest._CHUNK + 3])
+        probdist._BLOCK - 1, probdist._BLOCK, probdist._BLOCK + 1,
+        2 * probdist._BLOCK + 3])
     def test_chunk_boundaries_match_float_lookup(self, count):
         model, block_len, seed = BernoulliSource(1e-4), 16, 77
         s = sample_blocks(model, block_len, count, seed)
