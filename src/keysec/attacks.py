@@ -54,9 +54,9 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     total probability to max_k p_k(k): the ciphertext observation leaves
     a uniformly keyed pad at exactly 2^(-l).
 
-    The unnormalized row p_k(k) p_x(c xor k) is never built whole: above
-    one cache block it is formed block by block, each key block pairing
-    with one plaintext block, and reduced to its total and argmax there.
+    The unnormalized row p_k(k) p_x(c xor k) is never built whole: it is
+    formed one cache block at a time, each key block pairing with one
+    plaintext block, and reduced to its total and argmax there.
     """
     l = p_k.outcome_bits
     if p_x.outcome_bits != l or len(c) != l:
@@ -67,35 +67,27 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     plain_masses = p_x.masses
     c_idx = c.to_index()
     n = 1 << l
-    if n <= _BLOCK:
-        # p_x evaluated at c xor k for every k, via index permutation
-        joint_row = key_masses * plain_masses[np.bitwise_xor(np.arange(n),
-                                                             c_idx)]
-        p_c = float(joint_row.sum())
-        map_idx = int(np.argmax(joint_row))
-        map_mass = joint_row[map_idx]
-    else:
-        # keys lo .. lo + _BLOCK - 1 meet the plaintext block at lo xor
-        # the high bits of c, permuted within it by the low bits of c
-        c_high = c_idx & -_BLOCK
-        cols = np.arange(_BLOCK) ^ (c_idx & (_BLOCK - 1))
-        buf = np.empty(_BLOCK)
-        map_mass, map_idx = -1.0, 0
+    m = min(n, _BLOCK)
+    # keys lo .. lo + m - 1 meet the plaintext block at lo xor the high
+    # bits of c, permuted within it by the low bits of c
+    c_high = c_idx & -_BLOCK
+    cols = np.arange(m) ^ (c_idx & (m - 1))
+    buf = np.empty(m)
+    map_mass, map_idx = -1.0, 0
 
-        def block_sum(lo):
-            nonlocal map_mass, map_idx
-            start = lo ^ c_high
-            # every index is in range; with the default mode="raise",
-            # np.take copies through a hidden buffer
-            np.take(plain_masses[start:start + _BLOCK], cols, out=buf,
-                    mode="clip")
-            np.multiply(buf, key_masses[lo:lo + _BLOCK], out=buf)
-            j = int(buf.argmax())
-            if buf[j] > map_mass:  # strictly, so ties keep the lowest index
-                map_mass, map_idx = buf[j], lo + j
-            return buf.sum()
+    def block_sum(lo):
+        nonlocal map_mass, map_idx
+        start = lo ^ c_high
+        # every index is in range; with the default mode="raise",
+        # np.take copies through a hidden buffer
+        np.take(plain_masses[start:start + m], cols, out=buf, mode="clip")
+        np.multiply(buf, key_masses[lo:lo + m], out=buf)
+        j = int(buf.argmax())
+        if buf[j] > map_mass:  # strictly, so ties keep the lowest index
+            map_mass, map_idx = buf[j], lo + j
+        return buf.sum()
 
-        p_c = float(_blockwise_sum(n, block_sum))
+    p_c = float(_blockwise_sum(n, block_sum))
     if p_c == 0.0:
         raise ValueError("ciphertext has zero probability under the model")
     return AttackReport(

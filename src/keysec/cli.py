@@ -123,8 +123,7 @@ def _cmd_coupling(args) -> dict:
     if args.q is None:
         raise CliError("coupling needs --q FILE (or --contradiction)")
     q = _load(probdist.load_distribution, args.q, "distribution")
-    probdist._check_same_space(p, q)
-    if p.outcome_bits <= probdist.DENSE_BITS_CAP:
+    if p.outcome_bits == q.outcome_bits <= probdist.DENSE_BITS_CAP:
         # once each: .masses re-expands a spike on every read
         p, q = p.expand_dense(), q.expand_dense()
     doc = {"command": "coupling", "mode": "pair",

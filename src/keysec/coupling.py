@@ -61,14 +61,13 @@ def maximal_mismatch(p: Distribution, q: Distribution) -> float:
     the masses; above it both laws are spikes and the sum is closed form.
     """
     _check_same_space(p, q)
-    if p.outcome_bits > DENSE_BITS_CAP:
-        agree = _spike_pair_overlap(p, q)
-    elif p.n_outcomes <= _BLOCK:
-        agree = float(np.minimum(p.masses, q.masses).sum())
-    else:
-        a, b, buf = p.masses, q.masses, np.empty(_BLOCK)
+    if p.outcome_bits <= DENSE_BITS_CAP:
+        a, b = p.masses, q.masses
+        buf = np.empty(min(a.size, _BLOCK))
         agree = float(_blockwise_sum(a.size, lambda lo: np.minimum(
             a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf).sum()))
+    else:
+        agree = _spike_pair_overlap(p, q)
     return min(1.0, max(0.0, 1.0 - agree))
 
 

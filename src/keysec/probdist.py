@@ -303,9 +303,9 @@ def _blockwise_sum(n: int, block_sum) -> float:
 def _total_variation(a, b) -> float:
     # (1/2) sum |a - b| over arrays of masses (or a scalar background).
     n = np.size(a)
-    if np.ndim(a) != 1 or n <= _BLOCK or n & (n - 1):
+    if np.ndim(a) != 1 or n & (n - 1):
         return float(0.5 * np.abs(a - b).sum())
-    buf = np.empty(_BLOCK)
+    buf = np.empty(min(n, _BLOCK))
 
     def block_sum(lo):
         b_lo = b[lo:lo + _BLOCK] if np.ndim(b) else b
