@@ -26,8 +26,7 @@ from .quantum_detect import (DensityMatrix, Povm, helstrom_min_error,
                              load_matrix, measured_distance, overlap,
                              save_matrix, trace_distance_q)
 from .attacks import (AttackReport, PaReport, ciphertext_only_attack,
-                      identity_seed, kpa_next_bits, otp_encrypt,
-                      pa_effect_on_guessing, spike_distribution,
+                      identity_seed, kpa_next_bits, pa_effect_on_guessing,
                       toeplitz_hash)
 from .rngtest import (BernoulliSource, MarkovSource, SampleSet, SourceModel,
                       UniformityReport, block_distribution,
@@ -52,9 +51,9 @@ __all__ = [
     "load_distribution", "load_matrix", "markov_individual_bound",
     "maximal_coupling", "maximal_mismatch", "measured_distance",
     "min_mismatch_oracle", "mismatch_probability",
-    "model_distance_to_uniform", "otp_encrypt",
-    "overlap", "pa_effect_on_guessing", "pipeline_efficiency",
-    "required_epsilon", "sample_blocks", "save_distribution", "save_matrix",
-    "spike_distribution", "statistical_distance", "toeplitz_hash",
-    "trace_distance_q", "uniformity_failure_report", "yuen_upper_bound",
+    "model_distance_to_uniform", "overlap", "pa_effect_on_guessing",
+    "pipeline_efficiency", "required_epsilon", "sample_blocks",
+    "save_distribution", "save_matrix", "statistical_distance",
+    "toeplitz_hash", "trace_distance_q", "uniformity_failure_report",
+    "yuen_upper_bound",
 ]

@@ -35,14 +35,6 @@ class AttackReport:
     avg_success: float
 
 
-def otp_encrypt(x: BitString, k: BitString) -> BitString:
-    """C = X xor K.  Self-inverse, so the same call decrypts."""
-    return x ^ k
-
-
-spike_distribution = Distribution.spike
-
-
 def ciphertext_only_attack(c: BitString, p_x: Distribution,
                            p_k: Distribution) -> AttackReport:
     """Key estimation from an intercepted one-time-pad ciphertext.

@@ -123,9 +123,6 @@ def _cmd_coupling(args) -> dict:
     if args.q is None:
         raise CliError("coupling needs --q FILE (or --contradiction)")
     q = _load(probdist.load_distribution, args.q, "distribution")
-    if p.outcome_bits == q.outcome_bits <= probdist.DENSE_BITS_CAP:
-        # once each: .masses re-expands a spike on every read
-        p, q = p.expand_dense(), q.expand_dense()
     doc = {"command": "coupling", "mode": "pair",
            "p_file": args.p, "q_file": args.q,
            "outcome_bits": p.outcome_bits,
@@ -251,7 +248,7 @@ def _cmd_report(args) -> dict:
     doc["pipeline_key_bps"] = 300e3
     doc["pipeline_efficiency"] = eff.ratio
 
-    spike = attacks.spike_distribution(4, 0.1, BitString.from_str("1010"))
+    spike = probdist.Distribution.spike(4, 0.1, BitString.from_str("1010"))
     contra = coupling.contradiction_report(spike)
     doc["contradiction_spike_bits"] = 4
     doc["contradiction_spike_eps"] = 0.1
@@ -274,8 +271,8 @@ def _cmd_report(args) -> dict:
         except bounds.NoSolutionError as exc:
             doc[f"rate_n{n}"] = f"no-solution ({exc})"
 
-    key_law = attacks.spike_distribution(12, 2.0 ** -4,
-                                         BitString.from_str("101011001110"))
+    key_law = probdist.Distribution.spike(12, 2.0 ** -4,
+                                          BitString.from_str("101011001110"))
     kpa = attacks.kpa_next_bits(key_law, BitString.from_str("1010"))
     doc["kpa_known_bits"] = 4
     doc["kpa_map_guess"] = str(kpa.map_guess)

@@ -22,6 +22,8 @@ from .probdist import (_BLOCK, DENSE_BITS_CAP, ConditionalChannel,
 
 ORACLE_SUPPORT_CAP = 6
 MARGINAL_TOLERANCE = 1e-9
+# maximal_coupling's 2^l x 2^l joint is 128 MiB of float64 at 12 bits
+COUPLING_BITS_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,13 @@ def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
     Diagonal entries take min(p(x), q(x)); the leftover masses
     (p - q)+ and (q - p)+ are paired off-diagonally via their outer
     product normalized by the total variation distance.  When p = q the
-    residual vanishes and the coupling is purely diagonal.
+    residual vanishes and the coupling is purely diagonal.  Capped at
+    12-bit laws; ``maximal_mismatch`` needs no joint and has no cap.
     """
     _check_same_space(p, q)
+    if p.outcome_bits > COUPLING_BITS_CAP:
+        raise ValueError(f"maximal coupling capped at {COUPLING_BITS_CAP} "
+                         f"bits, got {p.outcome_bits}")
     a, b = p.masses, q.masses
     overlap = np.minimum(a, b)
     excess_p = a - overlap
@@ -154,7 +160,9 @@ def copy_vs_channel_gap(p: Distribution, w: ConditionalChannel) -> CopyChannelGa
     if w.in_bits != w.out_bits:
         raise ValueError(
             f"channel must be square, got {w.in_bits} -> {w.out_bits} bits")
-    w._check_input(p)
+    if p.outcome_bits != w.in_bits:
+        raise ValueError(
+            f"input has {p.outcome_bits} bits, channel expects {w.in_bits}")
     a = p.masses
     copy_joint = np.diag(a)
     channel_joint = a[:, None] * w.matrix
@@ -190,8 +198,6 @@ class ContradictionReport:
 
 def contradiction_report(p_k: Distribution) -> ContradictionReport:
     l = p_k.outcome_bits
-    if l <= DENSE_BITS_CAP:
-        p_k = p_k.expand_dense()  # once: .masses re-expands a spike per read
     uniform = Distribution.uniform(l)
     delta = statistical_distance(p_k, uniform)
     mismatch = maximal_mismatch(p_k, uniform)

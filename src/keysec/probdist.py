@@ -114,15 +114,6 @@ class Distribution:
             return cls._raw_dense(outcome_bits, np.full(n, 1.0 / n))
         return cls.spike(outcome_bits, 0.0, 0)
 
-    @classmethod
-    def point_mass(cls, outcome_bits: int, outcome) -> Distribution:
-        outcome_bits = _integral(outcome_bits, "outcome_bits")
-        if outcome_bits <= DENSE_BITS_CAP:
-            arr = np.zeros(1 << outcome_bits)
-            arr[_outcome_index(outcome, outcome_bits)] = 1.0
-            return cls._raw_dense(outcome_bits, arr)
-        return cls.spike(outcome_bits, 1.0, outcome)
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -141,7 +132,7 @@ class Distribution:
 
     def prob(self, outcome) -> float:
         idx = _outcome_index(outcome, self.outcome_bits)
-        if self._dense is not None:
+        if self._spike is None:
             return float(self._dense[idx])
         spike_idx, eps = self._spike
         background = self._background()
@@ -153,10 +144,14 @@ class Distribution:
 
     @property
     def masses(self) -> np.ndarray:
-        return self.expand_dense()._dense
+        # a spike keeps its expansion, built on the first read, in _dense;
+        # its queries still branch on _spike, so they stay closed form
+        if self._dense is None:
+            self._dense = self.expand_dense()._dense
+        return self._dense
 
     def expand_dense(self) -> Distribution:
-        if self._dense is not None:
+        if self._spike is None:
             return self
         if self.outcome_bits > DENSE_BITS_CAP:
             raise ValueError(
@@ -167,22 +162,8 @@ class Distribution:
         arr[spike_idx] = eps + background
         return Distribution._raw_dense(self.outcome_bits, arr)
 
-    def max_prob(self) -> float:
-        if self._dense is not None:
-            return float(self._dense.max())
-        return self._spike[1] + self._background()
-
-    def map_outcome(self) -> BitString:
-        """Most probable outcome; ties broken by lowest index."""
-        if self._dense is not None:
-            idx = int(np.argmax(self._dense))
-        else:
-            spike_idx, eps = self._spike
-            idx = spike_idx if eps > 0.0 else 0
-        return BitString.from_index(idx, self.outcome_bits)
-
     def support_size(self) -> int:
-        if self._dense is not None:
+        if self._spike is None:
             return int(np.count_nonzero(self._dense))
         _, eps = self._spike
         return 1 if eps >= 1.0 else self.n_outcomes
@@ -211,17 +192,6 @@ class JointDistribution:
         self.masses = _validated_masses(arr)
         self.masses.flags.writeable = False
 
-    @classmethod
-    def from_product(cls, p: Distribution, q: Distribution) -> JointDistribution:
-        return cls(p.outcome_bits, q.outcome_bits,
-                   np.outer(p.masses, q.masses))
-
-    def marginal_x(self) -> Distribution:
-        return Distribution(self.x_bits, self.masses.sum(axis=1))
-
-    def marginal_y(self) -> Distribution:
-        return Distribution(self.y_bits, self.masses.sum(axis=0))
-
 
 class ConditionalChannel:
     """One output distribution per input outcome (a stochastic matrix)."""
@@ -243,29 +213,10 @@ class ConditionalChannel:
         self.matrix.flags.writeable = False
 
     @classmethod
-    def identity(cls, bits: int) -> ConditionalChannel:
-        bits = _integral(bits, "bits")
-        return cls(bits, bits, np.eye(1 << bits))
-
-    @classmethod
     def binary_symmetric(cls, flip: float) -> ConditionalChannel:
         if not 0.0 <= flip <= 1.0:
             raise ValueError("flip probability must be in [0, 1]")
         return cls(1, 1, np.array([[1 - flip, flip], [flip, 1 - flip]]))
-
-    def _check_input(self, p: Distribution) -> None:
-        if p.outcome_bits != self.in_bits:
-            raise ValueError(
-                f"input has {p.outcome_bits} bits, channel expects {self.in_bits}")
-
-    def apply(self, p: Distribution) -> Distribution:
-        self._check_input(p)
-        return Distribution(self.out_bits, p.masses @ self.matrix)
-
-    def joint_with_input(self, p: Distribution) -> JointDistribution:
-        self._check_input(p)
-        return JointDistribution(self.in_bits, self.out_bits,
-                                 p.masses[:, None] * self.matrix)
 
 
 # -- operations ------------------------------------------------------------
@@ -331,7 +282,9 @@ def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
 
 def guessing_probability(p: Distribution) -> float:
     """Optimal single-guess success probability max_x p(x) = 2^(-Hmin)."""
-    return p.max_prob()
+    if p._spike is None:
+        return float(p._dense.max())
+    return p._spike[1] + p._background()
 
 
 def conditional_guessing_probability(j: JointDistribution) -> float:

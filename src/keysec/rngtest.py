@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _integral
+from .bits import _integral
 from .bounds import LogProb
 from .coupling import independent_coupling_failure
 from .probdist import (_BLOCK, ConditionalChannel, Distribution,
@@ -120,24 +120,9 @@ class SampleSet:
             raise ValueError("block value out of range")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_blocks(cls, blocks: list[BitString],
-                    seed: int | None = None) -> SampleSet:
-        if not blocks:
-            raise ValueError("sample set must be nonempty")
-        block_len = len(blocks[0])
-        if any(len(b) != block_len for b in blocks):
-            raise ValueError("all blocks must share one length")
-        return cls(block_len, np.array([b.to_index() for b in blocks]), seed)
-
     @property
     def count(self) -> int:
         return int(self.values.size)
-
-    @property
-    def blocks(self) -> list[BitString]:
-        return [BitString.from_index(int(v), self.block_len)
-                for v in self.values]
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.values, minlength=1 << self.block_len)

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import numpy as np
+
 from keysec import Distribution, JointDistribution
 
 
@@ -16,6 +18,12 @@ def random_distribution(rng, bits, zero_outcomes=0):
 def random_joint(rng, x_bits, y_bits):
     weights = rng.random((1 << x_bits, 1 << y_bits)) ** 2
     return JointDistribution(x_bits, y_bits, weights / weights.sum())
+
+
+def product_joint(p, q):
+    """Joint law of independent X ~ p and Y ~ q."""
+    return JointDistribution(p.outcome_bits, q.outcome_bits,
+                             np.outer(p.masses, q.masses))
 
 
 def event_set_distance_oracle(p, q):

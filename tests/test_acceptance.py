@@ -20,7 +20,7 @@ from keysec import (BitString, ConditionalChannel, Distribution,
                     leakage_profile, markov_individual_bound, maximal_coupling,
                     measured_distance, min_mismatch_oracle, mismatch_probability,
                     pa_effect_on_guessing, pipeline_efficiency, required_epsilon,
-                    sample_blocks, spike_distribution, statistical_distance,
+                    sample_blocks, statistical_distance,
                     trace_distance_q, uniformity_failure_report,
                     yuen_upper_bound, BernoulliSource, DensityMatrix,
                     model_distance_to_uniform)
@@ -156,16 +156,16 @@ def test_criterion_06_helstrom_and_measurement():
 def test_criterion_07_perfect_secrecy_and_sandwich():
     exact = True
     for l in range(1, 11):
-        for p_x in (Distribution.uniform(l), Distribution.point_mass(l, 0)):
+        for p_x in (Distribution.uniform(l), Distribution.spike(l, 1.0, 0)):
             rep = ciphertext_only_attack(BitString.zeros(l), p_x,
                                          Distribution.uniform(l))
             exact = exact and rep.avg_success == 2.0 ** -l
     sandwich = True
     for l in range(2, 11):
         for eps in (2.0 ** -2, 2.0 ** -4, 2.0 ** -6):
-            p_k = spike_distribution(l, eps, BitString.zeros(l)).expand_dense()
+            p_k = Distribution.spike(l, eps, BitString.zeros(l)).expand_dense()
             rep = ciphertext_only_attack(BitString.zeros(l),
-                                         Distribution.point_mass(l, 0), p_k)
+                                         Distribution.spike(l, 1.0, 0), p_k)
             sandwich = sandwich and eps <= rep.avg_success <= eps + 2.0 ** -l
     report(7, exact and sandwich,
            "uniform-key success exactly 2^-l for l <= 10; spike success in "
@@ -178,7 +178,7 @@ def test_criterion_08_known_prefix_prediction():
     for m in (2, 4, 6):
         eps = 2.0 ** -m
         k_star = BitString.from_index(0b101100111010 & ((1 << l) - 1), l)
-        p_k = spike_distribution(l, eps, k_star).expand_dense()
+        p_k = Distribution.spike(l, eps, k_star).expand_dense()
         at_m.append(kpa_next_bits(p_k, k_star[:m]).map_posterior)
         at_m4.append(kpa_next_bits(p_k, k_star[:m + 4]).map_posterior)
     uniform_rep = kpa_next_bits(Distribution.uniform(l),

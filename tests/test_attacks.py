@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_distribution, random_joint
+from helpers import product_joint, random_distribution, random_joint
 from keysec import (BitString, Distribution, JointDistribution,
                     ciphertext_only_attack, conditional_guessing_probability,
                     guessing_probability, identity_seed, kpa_next_bits,
-                    otp_encrypt, pa_effect_on_guessing, spike_distribution,
-                    statistical_distance, toeplitz_hash)
+                    pa_effect_on_guessing, statistical_distance,
+                    toeplitz_hash)
 
 
 def bit_list(length):
@@ -32,38 +32,38 @@ def hash_oracle(k, seed, out_len):
 class TestOtpEncrypt:
     def test_zero_key_identity(self):
         x = BitString.from_str("10110")
-        assert otp_encrypt(x, BitString.zeros(5)) == x
+        assert x ^ BitString.zeros(5) == x
 
     def test_self_cancellation(self):
         x = BitString.from_str("10110")
-        assert otp_encrypt(x, x) == BitString.zeros(5)
+        assert x ^ x == BitString.zeros(5)
 
     def test_bitwise_definition(self):
-        c = otp_encrypt(BitString.from_str("1010"), BitString.from_str("0110"))
+        c = BitString.from_str("1010") ^ BitString.from_str("0110")
         assert str(c) == "1100"
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            otp_encrypt(BitString.from_str("101"), BitString.from_str("10"))
+            BitString.from_str("101") ^ BitString.from_str("10")
 
     @given(bit_list(6), bit_list(6))
     def test_self_inverse(self, xs, ks):
         x, k = BitString(tuple(xs)), BitString(tuple(ks))
-        assert otp_encrypt(otp_encrypt(x, k), k) == x
+        assert (x ^ k) ^ k == x
 
 
 class TestSpikeDistribution:
     def test_zero_eps_is_uniform(self):
-        d = spike_distribution(4, 0.0, BitString.from_str("1001"))
+        d = Distribution.spike(4, 0.0, BitString.from_str("1001"))
         assert np.array_equal(d.expand_dense().masses, np.full(16, 1 / 16))
 
     def test_eps_one_is_point_mass(self):
-        d = spike_distribution(4, 1.0, BitString.from_str("1001"))
+        d = Distribution.spike(4, 1.0, BitString.from_str("1001"))
         assert d.prob(BitString.from_str("1001")) == 1.0
         assert guessing_probability(d) == 1.0
 
     def test_distance_example(self):
-        d = spike_distribution(8, 2.0 ** -4, BitString.zeros(8))
+        d = Distribution.spike(8, 2.0 ** -4, BitString.zeros(8))
         total = sum(abs(d.prob(x) - 2.0 ** -8) for x in range(256))
         assert statistical_distance(d, Distribution.uniform(8)) == \
             pytest.approx(0.5 * total, abs=1e-15)
@@ -72,7 +72,7 @@ class TestSpikeDistribution:
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
-            spike_distribution(4, 0.1, BitString.from_str("101"))
+            Distribution.spike(4, 0.1, BitString.from_str("101"))
 
 
 class TestCiphertextOnlyAttack:
@@ -80,7 +80,8 @@ class TestCiphertextOnlyAttack:
         # perfect secrecy: a uniformly keyed pad is guessed at exactly 2^-l
         for l in range(1, 11):
             p_k = Distribution.uniform(l)
-            for p_x in (Distribution.uniform(l), Distribution.point_mass(l, 1)):
+            for p_x in (Distribution.uniform(l),
+                        Distribution.spike(l, 1.0, 1)):
                 report = ciphertext_only_attack(BitString.zeros(l), p_x, p_k)
                 assert report.avg_success == 2.0 ** -l
 
@@ -88,7 +89,7 @@ class TestCiphertextOnlyAttack:
         # with the plaintext pinned, Bayes on the observed ciphertext
         # collapses onto key = c xor x0
         x0 = BitString.from_str("101")
-        p_x = Distribution.point_mass(3, x0)
+        p_x = Distribution.spike(3, 1.0, x0)
         p_k = Distribution(3, np.full(8, 0.125))
         c = BitString.from_str("011")
         report = ciphertext_only_attack(c, p_x, p_k)
@@ -99,7 +100,7 @@ class TestCiphertextOnlyAttack:
     def test_point_mass_plaintext_success_reduces_to_guessing(self):
         rng = np.random.default_rng(9)
         p_k = random_distribution(rng, 4)
-        p_x = Distribution.point_mass(4, 7)
+        p_x = Distribution.spike(4, 1.0, 7)
         report = ciphertext_only_attack(BitString.zeros(4), p_x, p_k)
         assert report.avg_success == guessing_probability(p_k)
 
@@ -107,8 +108,9 @@ class TestCiphertextOnlyAttack:
         # independent check: enumerate all 256 ciphertexts, weigh each by
         # its model probability, and score the best prior key guess
         l = 8
-        p_k = spike_distribution(l, 2.0 ** -4, BitString.zeros(l)).expand_dense()
-        p_x = Distribution.point_mass(l, 3)
+        p_k = Distribution.spike(l, 2.0 ** -4,
+                                 BitString.zeros(l)).expand_dense()
+        p_x = Distribution.spike(l, 1.0, 3)
         km = p_k.masses
         xm = p_x.masses
         oracle = 0.0
@@ -121,8 +123,8 @@ class TestCiphertextOnlyAttack:
             2.0 ** -4 + (1 - 2.0 ** -4) * 2.0 ** -8, abs=1e-15)
 
     def test_zero_probability_ciphertext(self):
-        p_x = Distribution.point_mass(2, 0)
-        p_k = Distribution.point_mass(2, 0)
+        p_x = Distribution.spike(2, 1.0, 0)
+        p_k = Distribution.spike(2, 1.0, 0)
         with pytest.raises(ValueError, match="zero probability"):
             ciphertext_only_attack(BitString.from_str("01"), p_x, p_k)
 
@@ -171,7 +173,7 @@ class TestKpaNextBits:
         # roughly even odds, exact value 1/(2 - 2^-m) plus a 2^-(l-m) sliver
         m, l = 4, 12
         k_star = BitString.from_str("101100111010")
-        p_k = spike_distribution(l, 2.0 ** -m, k_star).expand_dense()
+        p_k = Distribution.spike(l, 2.0 ** -m, k_star).expand_dense()
         report = kpa_next_bits(p_k, k_star[:m])
         assert report.map_guess == k_star[m:]
         eps = 2.0 ** -m
@@ -184,7 +186,7 @@ class TestKpaNextBits:
     def test_spike_witness_with_extra_known_bits(self):
         m, l = 4, 12
         k_star = BitString.from_str("101100111010")
-        p_k = spike_distribution(l, 2.0 ** -m, k_star).expand_dense()
+        p_k = Distribution.spike(l, 2.0 ** -m, k_star).expand_dense()
         report = kpa_next_bits(p_k, k_star[:m + 4])
         assert report.map_guess == k_star[m + 4:]
         assert report.map_posterior >= 0.9
@@ -211,7 +213,7 @@ class TestKpaNextBits:
                 max(masses.values()), abs=1e-15)
 
     def test_zero_probability_prefix(self):
-        p_k = Distribution.point_mass(4, 0)
+        p_k = Distribution.spike(4, 1.0, 0)
         with pytest.raises(ValueError, match="zero probability"):
             kpa_next_bits(p_k, BitString.from_str("11"))
 
@@ -299,8 +301,7 @@ class TestPaEffect:
         assert report.after_avg == report.before
 
     def test_uniform_independent_key(self):
-        joint = JointDistribution.from_product(Distribution.uniform(4),
-                                               Distribution.uniform(2))
+        joint = product_joint(Distribution.uniform(4), Distribution.uniform(2))
         seed = BitString.from_str("10110")
         report = pa_effect_on_guessing(joint, 2, [seed])
         assert report.before == pytest.approx(2.0 ** -4, abs=1e-15)
@@ -335,14 +336,12 @@ class TestPaEffect:
         assert report.after_avg == float(np.mean(report.after))
 
     def test_validation(self):
-        joint = JointDistribution.from_product(Distribution.uniform(4),
-                                               Distribution.uniform(1))
+        joint = product_joint(Distribution.uniform(4), Distribution.uniform(1))
         with pytest.raises(ValueError):
             pa_effect_on_guessing(joint, 0, [BitString.from_str("0011")])
         with pytest.raises(ValueError):
             pa_effect_on_guessing(joint, 2, [])
-        big = JointDistribution.from_product(Distribution.uniform(11),
-                                             Distribution.uniform(1))
+        big = product_joint(Distribution.uniform(11), Distribution.uniform(1))
         with pytest.raises(ValueError, match="capped"):
             pa_effect_on_guessing(big, 2, [BitString.zeros(12)])
 

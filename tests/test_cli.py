@@ -185,10 +185,10 @@ class TestDetectCommand:
 
 class TestAttackCommand:
     def test_kpa_mode(self, capsys, tmp_path):
-        from keysec import BitString, spike_distribution
+        from keysec import BitString
         path = tmp_path / "pk.dist"
         save_distribution(
-            spike_distribution(8, 2.0 ** -4,
+            Distribution.spike(8, 2.0 ** -4,
                                BitString.from_str("10110011")).expand_dense(),
             path)
         doc = machine(capsys, "attack", "--mode", "kpa", "--key-dist",
@@ -199,7 +199,7 @@ class TestAttackCommand:
     def test_ciphertext_mode(self, capsys, tmp_path):
         px = tmp_path / "px.dist"
         pk = tmp_path / "pk.dist"
-        save_distribution(Distribution.point_mass(2, 0), px)
+        save_distribution(Distribution.spike(2, 1.0, 0), px)
         save_distribution(Distribution.uniform(2), pk)
         doc = machine(capsys, "attack", "--mode", "ciphertext-only",
                       "--ciphertext", "10", "--plaintext-dist", str(px),

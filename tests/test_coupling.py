@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import random_distribution
+from helpers import product_joint, random_distribution
 from keysec import (ConditionalChannel, ContradictionReport, Coupling,
                     Distribution, JointDistribution, contradiction_report,
                     copy_vs_channel_gap, independent_coupling_failure,
                     maximal_coupling, min_mismatch_oracle,
                     mismatch_probability, statistical_distance)
-from keysec import maximal_mismatch
+from keysec import coupling, maximal_mismatch
 
 
 def spike_mismatch_oracle(l, e1, i1, e2, i2):
@@ -57,7 +59,7 @@ class TestMismatchProbability:
 
     def test_independent_uniform_bits(self):
         u = Distribution.uniform(1)
-        c = Coupling(JointDistribution.from_product(u, u), u, u)
+        c = Coupling(product_joint(u, u), u, u)
         assert mismatch_probability(c) == 0.5
 
     def test_maximal_example(self):
@@ -94,6 +96,28 @@ class TestMaximalCoupling:
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="differ"):
             maximal_coupling(Distribution.uniform(1), Distribution.uniform(2))
+
+    @pytest.mark.parametrize("bits", [13, 20])
+    def test_cap_refuses_before_allocating(self, bits):
+        # the joint would be 2^(2 bits) doubles: 512 MiB at 13, 8 TiB at 20
+        p = Distribution.spike(bits, 1e-3, 5)
+        q = Distribution.spike(bits, 1e-6, 9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped at 12 bits"):
+                maximal_coupling(p, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(coupling, "COUPLING_BITS_CAP", 2)
+        p, q = Distribution.uniform(2), Distribution(2, [0.4, 0.3, 0.2, 0.1])
+        assert mismatch_probability(maximal_coupling(p, q)) == \
+            pytest.approx(statistical_distance(p, q), abs=1e-15)
+        with pytest.raises(ValueError, match="capped at 2 bits, got 3"):
+            maximal_coupling(Distribution.uniform(3), Distribution.uniform(3))
 
 
 class TestMinMismatchOracle:
@@ -140,7 +164,7 @@ class TestCouplingInequality:
 class TestCopyVsChannel:
     def test_noiseless(self):
         p = Distribution(1, [0.6, 0.4])
-        gap = copy_vs_channel_gap(p, ConditionalChannel.identity(1))
+        gap = copy_vs_channel_gap(p, ConditionalChannel(1, 1, np.eye(2)))
         assert gap.delta_joint == 0.0
         assert gap.mismatch == 0.0
 
@@ -226,7 +250,7 @@ class TestContradictionReport:
         assert report.independent_failure == 0.9375
 
     def test_point_mass_input(self):
-        report = contradiction_report(Distribution.point_mass(2, 3))
+        report = contradiction_report(Distribution.spike(2, 1.0, 3))
         assert report.delta == pytest.approx(0.75, abs=1e-12)
         assert report.maximal_mismatch == pytest.approx(0.75, abs=1e-12)
         assert report.independent_failure == 0.75

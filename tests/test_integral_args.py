@@ -40,8 +40,6 @@ ENTRY_POINTS = [
      lambda v: Distribution.uniform(2).prob(v), 2.0, "outcome index"),
     ("Distribution.uniform.outcome_bits",
      Distribution.uniform, 2.0, "outcome_bits"),
-    ("Distribution.point_mass.outcome_bits",
-     lambda v: Distribution.point_mass(v, 0), 2.0, "outcome_bits"),
     ("JointDistribution.x_bits",
      lambda v: JointDistribution(v, 1, np.full((2, 2), 0.25)), 1.0, "x_bits"),
     ("JointDistribution.y_bits",
@@ -51,8 +49,6 @@ ENTRY_POINTS = [
     ("ConditionalChannel.out_bits",
      lambda v: ConditionalChannel(1, v, np.full((2, 2), 0.5)), 1.0,
      "out_bits"),
-    ("ConditionalChannel.identity.bits",
-     ConditionalChannel.identity, 1.0, "bits"),
     ("BitString.from_index.length",
      lambda v: BitString.from_index(1, v), 2.0, "length"),
     ("BitString.from_index.value",

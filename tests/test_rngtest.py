@@ -159,13 +159,15 @@ class TestSampleBlocks:
         a = sample_blocks(model, 8, 500, seed=7)
         b = sample_blocks(model, 8, 500, seed=7)
         assert np.array_equal(a.values, b.values)
+        assert a.seed == 7
         c = sample_blocks(model, 8, 500, seed=8)
         assert not np.array_equal(a.values, c.values)
 
     def test_degenerate_all_ones(self):
         s = sample_blocks(BernoulliSource(0.5), 4, 100, seed=3)
         assert np.all(s.values == 15)
-        assert all(b == BitString.ones(4) for b in s.blocks[:5])
+        assert all(BitString.from_index(int(v), 4) == BitString.ones(4)
+                   for v in s.values[:5])
 
     def test_degenerate_all_zeros(self):
         s = sample_blocks(BernoulliSource(-0.5), 4, 100, seed=3)
@@ -279,7 +281,7 @@ class TestSampleBlocks:
 
 class TestEmpiricalDistance:
     def test_single_block_point_mass(self):
-        s = SampleSet.from_blocks([BitString.from_str("1")])
+        s = SampleSet(1, np.array([1]))
         assert empirical_distance(s) == 0.5
 
     def test_sqrt_scaling_in_count(self):
@@ -311,17 +313,14 @@ class TestEmpiricalDistance:
 
 class TestUniformityReport:
     def test_constructed_exactly_uniform_case(self):
-        s = SampleSet.from_blocks([BitString.from_str("0"),
-                                   BitString.from_str("1")])
+        s = SampleSet(1, np.array([0, 1]))
         report = uniformity_failure_report(s)
         assert report.exactly_uniform
         assert report.empirical_delta == 0.0
         assert report.independent_failure.value == 0.5
 
     def test_indivisible_count_never_uniform(self):
-        s = SampleSet.from_blocks([BitString.from_str("0"),
-                                   BitString.from_str("1"),
-                                   BitString.from_str("0")])
+        s = SampleSet(1, np.array([0, 1, 0]))
         assert not uniformity_failure_report(s).exactly_uniform
 
     def test_three_quantities_decoupled(self):
@@ -346,14 +345,9 @@ class TestUniformityReport:
 
 
 class TestSampleSetType:
-    def test_from_blocks_validates_lengths(self):
-        with pytest.raises(ValueError):
-            SampleSet.from_blocks([BitString.from_str("01"),
-                                   BitString.from_str("0")])
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            SampleSet.from_blocks([])
+            SampleSet(1, np.array([]))
 
     def test_value_range_checked(self):
         with pytest.raises(ValueError):
@@ -369,12 +363,6 @@ class TestSampleSetType:
         for values in ([1.0, 2.0], np.array([1, 2], np.uint64), [1, 2]):
             s = SampleSet(4, values)
             assert s.values.dtype == np.int64 and s.values.tolist() == [1, 2]
-
-    def test_blocks_round_trip(self):
-        blocks = [BitString.from_str("101"), BitString.from_str("010")]
-        s = SampleSet.from_blocks(blocks, seed=1)
-        assert s.blocks == blocks
-        assert s.seed == 1
 
 
 class TestSeedRange:
