@@ -369,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except bounds.NoSolutionError as exc:
         print(f"no-solution: {exc}", file=sys.stderr)
         return 3
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

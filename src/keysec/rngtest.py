@@ -26,30 +26,40 @@ from .probdist import (_BLOCK, ConditionalChannel, Distribution,
                        _total_variation, statistical_distance)
 
 BLOCK_LEN_CAP = 16
-# forward-scan steps in sample_blocks before the binary-search fallback
-_SCAN_STEPS = 4
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# (i+1) * GOLDEN for i < _BLOCK: the Weyl sequence of one chunk, seed 0
+_WEYL = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GOLDEN
+_WEYL.flags.writeable = False
+# flag bit of a guide entry whose bucket holds two or more thresholds
+_CROWDED = 1 << 62
 
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of the SplitMix64 stream for seed.
 
     The counter runs up to 2^64, so offset + count may not exceed it.
+    Output lo + i is mix(base + (i+1) * GOLDEN) with base = seed +
+    (offset + lo) * GOLDEN mod 2^64, so each ``_BLOCK`` slice is the
+    precomputed Weyl sequence ``_WEYL`` plus one constant.
     """
     seed = _integral(seed, "seed", 0, (1 << 64) - 1)
     count = _integral(count, "count", 0, 1 << 64)
     offset = _integral(offset, "offset", 0, (1 << 64) - count)
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z *= _GOLDEN
-    z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z = np.empty(count, dtype=np.uint64)
+    shifted = np.empty(min(count, _BLOCK), dtype=np.uint64)
+    for lo in range(0, count, _BLOCK):
+        zs = z[lo:lo + _BLOCK]
+        t = shifted[:len(zs)]
+        base = (seed + (offset + lo) * int(_GOLDEN)) % (1 << 64)
+        np.add(_WEYL[:len(zs)], np.uint64(base), out=zs)
+        zs ^= np.right_shift(zs, np.uint64(30), out=t)
+        zs *= _MIX1
+        zs ^= np.right_shift(zs, np.uint64(27), out=t)
+        zs *= _MIX2
+        zs ^= np.right_shift(zs, np.uint64(31), out=t)
     return z
 
 
@@ -142,12 +152,15 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     The lookup is a guide table (Chen & Asau 1974) over 2^(block_len+1)
     equal buckets of the 53-bit range: ``guide[b]`` counts the T[j] at
     or below the bucket's lowest m, so it is the first outcome any m in
-    bucket b can take, and a forward scan then steps while T[j] <= m.
-    Each bucket has probability 2^-(block_len+1), so for any law the
-    expected number of comparisons per block is at most 1.5; the few m
-    still scanning after ``_SCAN_STEPS`` steps (thresholds crowded into
-    one bucket by a skewed law) finish by binary search.  Both find the same j, the
-    number of T[j] <= m, so the values do not depend on the lookup.
+    bucket b can take.  The block minus guide[b] counts the T[j] inside
+    the bucket that are <= m; when the bucket holds at most one
+    threshold that is 0 or 1, namely [m >= T[guide[b]]], so one
+    comparison settles the block.  The last threshold is 2^53, above
+    every bucket, so guide[b] < 2^block_len and T[guide[b]] exists.
+    Buckets holding two or more thresholds (a skewed law crowds them)
+    carry the ``_CROWDED`` bit in their guide entry; their outputs at or
+    above T[guide[b]] finish by binary search.  Both find the number of
+    T[j] <= m, so the values do not depend on the lookup.
 
     Blocks are drawn one cache block (``probdist._BLOCK``) at a time
     through ``splitmix64``'s offset, an exact partition of the stream, so
@@ -162,20 +175,36 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
     n_buckets = 1 << (block_len + 1)
     lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
-    guide = np.cumsum(np.bincount(lowest.astype(np.int64),
-                                  minlength=n_buckets + 1))[:n_buckets]
+    edges = np.cumsum(np.bincount(lowest.astype(np.int64),
+                                  minlength=n_buckets + 1))
+    crowded = np.diff(edges) > 1
+    any_crowded = bool(crowded.any())
+    guide = edges[:n_buckets] | crowded.astype(np.int64) * _CROWDED
+    del cdf, lowest, edges, crowded  # the loop keeps thresholds and guide
     values = np.empty(count, dtype=np.int64)
+    width = min(count, _BLOCK)
+    bucket = np.empty(width, dtype=np.uint64)
+    split = np.empty(width, dtype=np.uint64)
+    passed = np.empty(width, dtype=bool)
+    hit = np.empty(width, dtype=bool)
     for start in range(0, count, _BLOCK):
         n = min(_BLOCK, count - start)
-        top53 = splitmix64(seed, n, start) >> np.uint64(11)
-        chunk = guide[top53 >> np.uint64(shift)]
-        active = np.flatnonzero(thresholds[chunk] <= top53)
-        for _ in range(_SCAN_STEPS):
-            chunk[active] += 1
-            active = active[thresholds[chunk[active]] <= top53[active]]
-        chunk[active] = np.searchsorted(thresholds, top53[active],
-                                        side="right")
-        values[start:start + n] = chunk
+        chunk = values[start:start + n]
+        top53 = splitmix64(seed, n, start)
+        top53 >>= np.uint64(11)
+        np.take(guide, np.right_shift(top53, np.uint64(shift),
+                                      out=bucket[:n]), out=chunk, mode="clip")
+        if any_crowded:
+            np.greater_equal(chunk, _CROWDED, out=hit[:n])
+            chunk &= _CROWDED - 1
+        np.take(thresholds, chunk, out=split[:n], mode="clip")
+        chunk += np.greater_equal(top53, split[:n], out=passed[:n])
+        if any_crowded:
+            # below its split an output's block is guide[b], crowded or not
+            idx = np.flatnonzero(np.logical_and(hit[:n], passed[:n],
+                                                out=hit[:n]))
+            chunk[idx] = np.searchsorted(thresholds, top53[idx],
+                                         side="right")
     return SampleSet(block_len=block_len, values=values, seed=seed)
 
 

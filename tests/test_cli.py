@@ -237,6 +237,16 @@ class TestRngtestCommand:
                            "--block-len", "4", "--count", "10", "--seed", "1")
         assert code == 2
 
+    def test_impossible_count_is_an_input_error(self, capsys):
+        # 10^15 blocks need 8 PB; numpy refuses the allocation at once
+        code, out, err = run(capsys, "rngtest", "--bias", "0.1",
+                             "--block-len", "4", "--count", str(10**15),
+                             "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestReportCommand:
     def test_composite_report(self, capsys):

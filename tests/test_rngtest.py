@@ -27,16 +27,23 @@ GOLDEN_SHA256_1E6 = \
     "2e2dfbd647bbf9eefa18ef6e5890d00c39e0e5c5dcd7f087f7a9a9aeb33fc366"
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """The SplitMix64 finalizer of one 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 def scalar_splitmix64(seed, count):
-    mask = (1 << 64) - 1
     out = []
-    state = seed & mask
+    state = seed & MASK64
     for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
+        state = (state + GOLDEN) & MASK64
+        out.append(mix64(state))
     return out
 
 
@@ -53,6 +60,19 @@ class TestSplitMix64:
         whole = splitmix64(99, 10)
         parts = np.concatenate([splitmix64(99, 4), splitmix64(99, 6, offset=4)])
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("count", [
+        0, 1, probdist._BLOCK, probdist._BLOCK + 1])
+    @pytest.mark.parametrize("offset", [0, 2**63 + 5, "end"])
+    def test_matches_counter_definition(self, count, offset):
+        # output i is mix(seed + (offset + i + 1) * GOLDEN mod 2^64), across
+        # the Weyl table's chunk edge and up to the end of the counter
+        if offset == "end":
+            offset = (1 << 64) - count
+        seed = 0x0123456789ABCDEF
+        expected = [mix64((seed + (offset + i + 1) * GOLDEN) & MASK64)
+                    for i in range(count)]
+        assert splitmix64(seed, count, offset).tolist() == expected
 
 
 def float_lookup(model, block_len, outputs):
@@ -79,11 +99,13 @@ def outputs_around(cdf):
 
 
 def scan_steps(model, block_len, outputs):
-    """Forward-scan steps the guide-table lookup takes for each output.
+    """Thresholds each output passes beyond its guide bucket's first block.
 
-    The scan starts at the block of the lowest output in the same guide
-    bucket (the top block_len + 1 bits) and steps once per outcome it
-    passes, so the float oracle counts the steps without the table.
+    The first block is that of the lowest output in the same guide bucket
+    (the top block_len + 1 bits), so the float oracle counts the steps
+    without the table.  An output with at most one step is resolved by
+    one comparison; more steps mean a crowded bucket, which the lookup
+    finishes by binary search.
     """
     low = 63 - block_len
     starts = float_lookup(model, block_len,
@@ -217,13 +239,12 @@ class TestSampleBlocks:
 
     def test_crowded_guide_bucket_matches_float_lookup(self, monkeypatch):
         # bias 0.4999 at 16 bits puts half the thresholds in the lowest
-        # guide bucket, so outputs there outrun the forward scan and finish
-        # by binary search
+        # guide bucket, so outputs there pass more than one threshold of
+        # their bucket and finish by binary search
         model, block_len = BernoulliSource(0.4999), 16
         cdf = np.cumsum(block_distribution(model, block_len).masses)
         outputs = outputs_around(cdf[cdf <= 2.0 ** -(block_len + 1)])
-        assert max(scan_steps(model, block_len, outputs)) > \
-            rngtest._SCAN_STEPS
+        assert max(scan_steps(model, block_len, outputs)) > 1
         monkeypatch.setattr(
             rngtest, "splitmix64", lambda seed, count, offset=0:
             np.array(outputs, np.uint64)[offset:offset + count])
@@ -232,14 +253,15 @@ class TestSampleBlocks:
 
     def test_plateau_scan_matches_float_lookup(self, monkeypatch):
         # zero masses repeat a threshold, so an output past a run of equal
-        # thresholds scans the whole run: some runs end within the scan
-        # limit, longer ones fall back to binary search
+        # thresholds passes the whole run: outputs in buckets with at most
+        # one threshold take the one-comparison path, those past a run in
+        # one bucket fall back to binary search
         model, block_len = PLATEAU_MODEL, 10
         cdf = np.cumsum(block_distribution(model, block_len).masses)
         outputs = outputs_around(cdf)
         steps = scan_steps(model, block_len, outputs)
-        assert any(1 < k <= rngtest._SCAN_STEPS for k in steps)
-        assert max(steps) > rngtest._SCAN_STEPS
+        assert any(k <= 1 for k in steps)
+        assert max(steps) > 1
         monkeypatch.setattr(
             rngtest, "splitmix64", lambda seed, count, offset=0:
             np.array(outputs, np.uint64)[offset:offset + count])
@@ -255,9 +277,26 @@ class TestSampleBlocks:
         assert s.values.tolist() == float_lookup(
             model, block_len, scalar_splitmix64(seed, count))
 
+    @settings(max_examples=25, deadline=None)
+    @given(model=st.one_of(
+               st.floats(-0.5, 0.5).map(BernoulliSource),
+               st.tuples(*[st.floats(0.0, 1.0)] * 3).map(
+                   lambda p: MarkovSource(
+                       transition=ConditionalChannel(
+                           1, 1, [[1.0 - p[0], p[0]], [1.0 - p[1], p[1]]]),
+                       initial=Distribution(1, [1.0 - p[2], p[2]])))),
+           block_len=st.integers(1, 12),
+           count=st.integers(probdist._BLOCK - 2, probdist._BLOCK + 2),
+           seed=st.integers(0, (1 << 64) - 1))
+    def test_any_law_matches_float_lookup(self, model, block_len, count,
+                                          seed):
+        s = sample_blocks(model, block_len, count, seed)
+        assert s.values.tolist() == float_lookup(
+            model, block_len, scalar_splitmix64(seed, count))
+
     def test_peak_memory_is_values_plus_constant(self):
         # values take 8 bytes a block; everything else is per chunk or per
-        # outcome (about 3.1 MiB at 16 bits), so the margin does not scale
+        # outcome (about 2.2 MiB at 16 bits), so the margin does not scale
         count = 10**6
         tracemalloc.start()
         try:
