@@ -8,7 +8,7 @@ together.
 
 from .bits import BitString
 from .bounds import (EfficiencyReport, FiniteKeyParams, LeakageProfile,
-                     LogProb, NoSolutionError, RateSolution,
+                     LogProb, NoSolutionError, RateSolution, binary_entropy,
                      default_rate_params, epsilon_for_security_rate,
                      extractable_key_length, leakage_profile,
                      markov_individual_bound, pipeline_efficiency,
@@ -19,9 +19,9 @@ from .coupling import (ContradictionReport, CopyChannelGap, Coupling,
                        maximal_mismatch, min_mismatch_oracle,
                        mismatch_probability)
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
-                       binary_entropy, conditional_guessing_probability,
-                       guessing_probability, load_distribution,
-                       save_distribution, statistical_distance)
+                       conditional_guessing_probability, guessing_probability,
+                       load_distribution, save_distribution,
+                       statistical_distance)
 from .quantum_detect import (DensityMatrix, Povm, helstrom_min_error,
                              load_matrix, measured_distance, overlap,
                              save_matrix, trace_distance_q)

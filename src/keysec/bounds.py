@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .bits import _integral
-from .probdist import binary_entropy
 
 LOG10_2 = math.log10(2.0)
 # above 2^53 a length is not an exact float: -l rounds, l * x can overflow
@@ -41,6 +40,15 @@ def log2_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(2.0 ** (lo - hi)) / math.log(2.0)
+
+
+def binary_entropy(q: float) -> float:
+    """h(q) = -q log2 q - (1-q) log2 (1-q), with 0 log 0 = 0."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"binary entropy argument must be in [0, 1], got {q}")
+    if q == 0.0 or q == 1.0:
+        return 0.0
+    return float(-q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bounds import LogProb
-from .probdist import (_BLOCK, DENSE_BITS_CAP, ConditionalChannel,
-                       Distribution, JointDistribution, _blockwise_sum,
-                       _check_same_space, _total_variation,
+from .probdist import (ConditionalChannel, Distribution, JointDistribution,
+                       _check_same_space, _overlap, _total_variation,
                        statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
@@ -58,31 +57,12 @@ def mismatch_probability(c: Coupling) -> float:
 def maximal_mismatch(p: Distribution, q: Distribution) -> float:
     """Pr[X != Y] under ``maximal_coupling(p, q)``, read off its diagonal.
 
-    The diagonal is min(p(x), q(x)), so the mismatch 1 - sum_x min(p, q)
-    needs no 2^l x 2^l joint law.  Up to the dense cap the sum runs over
-    the masses; above it both laws are spikes and the sum is closed form.
+    The diagonal is min(p(x), q(x)), so the mismatch is 1 - sum_x min(p, q)
+    and needs no 2^l x 2^l joint law; ``probdist`` sums the overlap over
+    the masses up to the dense cap and in closed form above it.
     """
     _check_same_space(p, q)
-    if p.outcome_bits <= DENSE_BITS_CAP:
-        a, b = p.masses, q.masses
-        buf = np.empty(min(a.size, _BLOCK))
-        agree = float(_blockwise_sum(a.size, lambda lo: np.minimum(
-            a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf).sum()))
-    else:
-        agree = _spike_pair_overlap(p, q)
-    return min(1.0, max(0.0, 1.0 - agree))
-
-
-def _spike_pair_overlap(p: Distribution, q: Distribution) -> float:
-    # sum_x min(p(x), q(x)) for two spike laws; as in _spike_pair_distance,
-    # (2^l - 1) 2^-l and (2^l - 2) 2^-l are written 1 - u and 1 - 2u.
-    u = 2.0 ** (-p.outcome_bits)
-    (i1, e1), (i2, e2) = p.spike_params, q.spike_params
-    bg1, bg2 = p._background(), q._background()
-    rest = min(1.0 - e1, 1.0 - e2)
-    if i1 == i2:
-        return min(e1 + bg1, e2 + bg2) + (1.0 - u) * rest
-    return min(e1 + bg1, bg2) + min(bg1, e2 + bg2) + (1.0 - 2.0 * u) * rest
+    return min(1.0, max(0.0, 1.0 - _overlap(p, q)))
 
 
 def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:

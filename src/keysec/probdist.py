@@ -2,8 +2,11 @@
 
 Distributions are either dense (one mass per outcome, spaces up to 2^20)
 or spike-shaped (a point mass of weight eps mixed with uniform background),
-the latter usable at any length because every query it answers is closed
-form.  All operations are pure; values are immutable after construction.
+the latter usable at up to 2^53 bits because every query it answers is
+closed form.  This is the one module that reads a spike's layout: above
+the dense cap it also holds the pair sums, the distance and the overlap
+sum_x min(p, q) behind ``coupling.maximal_mismatch``.  All operations are
+pure; values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import numpy as np
 
 from .bits import BitString, _integral
+from .bounds import MAX_EXACT_LEN
 
 DENSE_BITS_CAP = 20
 SUM_TOLERANCE = 1e-9
@@ -98,7 +102,9 @@ class Distribution:
         """
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        outcome_bits = _integral(outcome_bits, "outcome_bits")
+        # the cap of every key length: above it -l is not an exact float
+        outcome_bits = _integral(outcome_bits, "outcome_bits", 0,
+                                 MAX_EXACT_LEN)
         idx = _outcome_index(outcome, outcome_bits)
         self = object.__new__(cls)
         self.outcome_bits = outcome_bits
@@ -267,17 +273,31 @@ def _total_variation(a, b) -> float:
 
 
 def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
-    # Closed form for spaces too large to materialize, where every law is a
-    # spike.  (2^l - 1) * 2^-l and (2^l - 2) * 2^-l are rewritten as 1 - u
-    # and 1 - 2u to avoid overflow.
-    l = p.outcome_bits
-    u = 2.0 ** (-l)
-    (i1, e1), (i2, e2) = p.spike_params, q.spike_params
-    if i1 == i2:
-        return abs(e1 - e2) * (1.0 - u)
-    bg1, bg2 = p._background(), q._background()
-    return 0.5 * (abs(e1 + bg1 - bg2) + abs(e2 + bg2 - bg1)
-                  + (1.0 - 2.0 * u) * abs(e1 - e2))
+    # The distance is sum_x (p(x) - q(x))^+.  Let p have the larger eps:
+    # then q(x) >= p(x) off p's spike outcome, so only that one term counts,
+    # e_p - [same outcome] e_q - (e_p - e_q) 2^-l.  Its pieces are exact
+    # floats (until e 2^-l is subnormal), so fsum rounds the distance once.
+    if p._spike[1] < q._spike[1]:
+        p, q = q, p
+    (i_p, e_p), (i_q, e_q) = p._spike, q._spike
+    u = 2.0 ** (-p.outcome_bits)
+    return math.fsum([e_p, -(i_p == i_q) * e_q, e_q * u, -e_p * u])
+
+
+def _overlap(p: Distribution, q: Distribution) -> float:
+    """sum_x min(p(x), q(x)), the diagonal mass of the maximal coupling."""
+    if p.outcome_bits <= DENSE_BITS_CAP:
+        a, b = p.masses, q.masses
+        buf = np.empty(min(a.size, _BLOCK))
+        return float(_blockwise_sum(a.size, lambda lo: np.minimum(
+            a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf).sum()))
+    # two spike laws: the terms at the spike outcomes U = {i_p, i_q}, plus
+    # min(1 - e_p, 1 - e_q) 2^-l at each of the other 2^l - |U| outcomes,
+    # written (1 - |U| 2^-l) min(...) so that 2^l is never formed
+    union = {p._spike[0], q._spike[0]}
+    return (sum(min(p.prob(x), q.prob(x)) for x in union)
+            + (1.0 - len(union) * 2.0 ** (-p.outcome_bits))
+            * min(1.0 - p._spike[1], 1.0 - q._spike[1]))
 
 
 def guessing_probability(p: Distribution) -> float:
@@ -294,15 +314,6 @@ def conditional_guessing_probability(j: JointDistribution) -> float:
     unconditional guessing probability of the X marginal.
     """
     return float(j.masses.max(axis=0).sum())
-
-
-def binary_entropy(q: float) -> float:
-    """h(q) = -q log2 q - (1-q) log2 (1-q), with 0 log 0 = 0."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"binary entropy argument must be in [0, 1], got {q}")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return float(-q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q))
 
 
 # -- file format -------------------------------------------------------------

@@ -276,6 +276,18 @@ class TestMachineModeRoundTrip:
         assert code == 0
         assert out.encode() == (GOLDEN / name).read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("case", sorted(
+        p.stem for p in (GOLDEN / "cli").glob("*.json")))
+    def test_subcommand_matches_golden(self, capsys, monkeypatch, case, fmt):
+        # each fixture holds its argv (input paths relative to tests/golden)
+        # and the exit code, stdout and stderr it gave in both formats
+        doc = json.loads((GOLDEN / "cli" / f"{case}.json").read_text())
+        monkeypatch.chdir(GOLDEN)
+        code, out, err = run(capsys, "--format", fmt, *doc["argv"])
+        assert (code, out, err) == (doc[fmt]["exit"], doc[fmt]["stdout"],
+                                    doc[fmt]["stderr"])
+
     def test_report_deterministic(self, capsys):
         _, out1, _ = run(capsys, "--format", "machine", "report")
         _, out2, _ = run(capsys, "--format", "machine", "report")

@@ -13,12 +13,12 @@ import pytest
 from keysec import (BernoulliSource, BitString, ConditionalChannel,
                     DensityMatrix, Distribution, FiniteKeyParams,
                     JointDistribution, LogProb, Povm, SampleSet,
-                    block_distribution, identity_seed,
+                    block_distribution, contradiction_report, identity_seed,
                     independent_coupling_failure, kpa_next_bits,
                     leakage_profile,
                     markov_individual_bound, model_distance_to_uniform,
                     pa_effect_on_guessing, required_epsilon, sample_blocks,
-                    toeplitz_hash, yuen_upper_bound)
+                    statistical_distance, toeplitz_hash, yuen_upper_bound)
 from keysec.bits import MAX_MATERIALIZED_LEN, _integral
 from keysec.cli import main
 from keysec.rngtest import splitmix64
@@ -174,6 +174,23 @@ class TestUpperEnds:
         with pytest.raises(ValueError,
                            match="outcome index must be >= 0 and <= 15, got 16"):
             call(16)
+
+    @pytest.mark.parametrize("call", [lambda v: Distribution.spike(v, 0.5, 0),
+                                      Distribution.uniform])
+    def test_spike_length_capped_at_2_to_53(self, call):
+        # above 2^53 bits 2^-l would raise OverflowError in every query
+        with pytest.raises(ValueError, match=(
+                f"outcome_bits must be >= 0 and <= {2**53}, got {2**53 + 1}")):
+            call(2**53 + 1)
+
+    def test_spike_at_2_to_53_answers(self):
+        # closed forms only: n_outcomes or support_size would build 2^l
+        l = 2**53
+        spike = Distribution.spike(l, 0.5, 7)
+        assert statistical_distance(spike, Distribution.uniform(l)) == 0.5
+        report = contradiction_report(spike)
+        assert (report.delta, report.maximal_mismatch,
+                report.independent_failure) == (0.5, 0.5, 1.0)
 
     def test_out_len_beyond_key(self):
         with pytest.raises(ValueError, match="out_len must be >= 0 and <= 2"):

@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -127,6 +131,67 @@ class TestSpikeDenseAgreement:
         assert statistical_distance(spike, Distribution.uniform(l)) == \
             pytest.approx(1e-6, rel=1e-12)
         assert guessing_probability(spike) == pytest.approx(1e-6, rel=1e-12)
+
+
+def exact_spike_pair_distance(l, ip, ep, iq, eq):
+    """(1/2) sum_x |p(x) - q(x)| of the intended laws, in rationals.
+
+    Each law is eps * point(i) + (1 - eps) * uniform over 2^l outcomes;
+    outside the two spike outcomes every term is the same.
+    """
+    u = Fraction(1, 1 << l)
+
+    def mass(x, i, e):
+        return Fraction(e) * (x == i) + (1 - Fraction(e)) * u
+
+    union = {ip, iq}
+    total = sum(abs(mass(x, ip, ep) - mass(x, iq, eq)) for x in union)
+    others = ((1 << l) - len(union)) * abs(mass(-1, ip, ep) - mass(-1, iq, eq))
+    return (total + others) / 2
+
+
+def ulps_from(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestSpikePairDistanceExact:
+    """Above the dense cap the spike-pair distance is closed form; it must
+    stay within 2 ulp of the exact distance at every length and epsilon."""
+
+    EPS = [0.0, 1e-300, 1e-12, 1e-6, 0.5, 1 - 1e-16, 1.0]
+
+    @staticmethod
+    def epsilons(l):
+        r = random.Random(l)
+        return (TestSpikePairDistanceExact.EPS
+                + [r.random() for _ in range(4)]
+                + [10.0 ** r.uniform(-320, 0) for _ in range(4)])
+
+    @pytest.mark.parametrize("kind", ["same", "different", "uniform"])
+    @pytest.mark.parametrize("l", [21, 24, 53, 54, 64, 1075, 10**4])
+    def test_within_two_ulp_of_exact(self, l, kind):
+        ip = (1 << l) - 1
+        iq = ip if kind == "same" else 0
+        eps = self.epsilons(l)
+        pairs = ([(ep, 0.0) for ep in eps] if kind == "uniform"
+                 else [(ep, eq) for ep in eps for eq in eps])
+        for ep, eq in pairs:
+            p = Distribution.spike(l, ep, ip)
+            q = (Distribution.uniform(l) if kind == "uniform"
+                 else Distribution.spike(l, eq, iq))
+            exact = exact_spike_pair_distance(l, ip, ep, iq, eq)
+            for d in (statistical_distance(p, q), statistical_distance(q, p)):
+                assert ulps_from(d, exact) <= 2, (l, kind, ep, eq, d)
+
+    def test_no_cancellation_at_tiny_eps(self):
+        # the background difference of two rounded masses once swamped eps
+        l = 21
+        spike = Distribution.spike(l, 1e-12, (1 << l) - 1)
+        assert statistical_distance(spike, Distribution.uniform(l)) == \
+            float(exact_spike_pair_distance(l, (1 << l) - 1, 1e-12, 0, 0.0))
+        a = Distribution.spike(64, 1e-300, 0)
+        b = Distribution.spike(64, 1e-300, (1 << 64) - 1)
+        assert statistical_distance(a, b) == 1e-300  # once printed as 0.0
 
 
 class TestStatisticalDistance:
