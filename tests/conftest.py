@@ -6,6 +6,12 @@ import warnings
 # example.  The import raises mypy_extensions' TypedDict DeprecationWarning,
 # which ``filterwarnings = ["error"]`` would turn into an INTERNALERROR that
 # hides the example, so it is imported here once with that warning ignored.
+# The module needs libcst, which only hypothesis's optional ``codemods``
+# extra installs; without it hypothesis skips the import too, so nothing
+# is needed here.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
