@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from .bounds import LogProb
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
-                       _check_same_space, _overlap, _total_variation,
+                       _check_same_space, _excess, _total_variation,
                        statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
@@ -55,14 +55,15 @@ def mismatch_probability(c: Coupling) -> float:
 
 
 def maximal_mismatch(p: Distribution, q: Distribution) -> float:
-    """Pr[X != Y] under ``maximal_coupling(p, q)``, read off its diagonal.
+    """Pr[X != Y] under ``maximal_coupling(p, q)``: its off-diagonal mass.
 
-    The diagonal is min(p(x), q(x)), so the mismatch is 1 - sum_x min(p, q)
-    and needs no 2^l x 2^l joint law; ``probdist`` sums the overlap over
-    the masses up to the dense cap and in closed form above it.
+    That is the excess sum_x (p(x) - q(x))^+ the coupling normalizes by,
+    so it needs no 2^l x 2^l joint law and no cancelling 1 - sum_x
+    min(p, q); ``probdist`` sums it over the masses up to the dense cap
+    and in closed form above it.
     """
     _check_same_space(p, q)
-    return min(1.0, max(0.0, 1.0 - _overlap(p, q)))
+    return min(1.0, _excess(p, q))
 
 
 def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:

@@ -4,9 +4,9 @@ Distributions are either dense (one mass per outcome, spaces up to 2^20)
 or spike-shaped (a point mass of weight eps mixed with uniform background),
 the latter usable at up to 2^53 bits because every query it answers is
 closed form.  This is the one module that reads a spike's layout: above
-the dense cap it also holds the pair sums, the distance and the overlap
-sum_x min(p, q) behind ``coupling.maximal_mismatch``.  All operations are
-pure; values are immutable after construction.
+the dense cap it also holds the one spike-pair sum, sum_x (p(x) - q(x))^+,
+which is both the distance and ``coupling.maximal_mismatch``.  All
+operations are pure; values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -284,20 +284,18 @@ def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
     return math.fsum([e_p, -(i_p == i_q) * e_q, e_q * u, -e_p * u])
 
 
-def _overlap(p: Distribution, q: Distribution) -> float:
-    """sum_x min(p(x), q(x)), the diagonal mass of the maximal coupling."""
-    if p.outcome_bits <= DENSE_BITS_CAP:
-        a, b = p.masses, q.masses
-        buf = np.empty(min(a.size, _BLOCK))
-        return float(_blockwise_sum(a.size, lambda lo: np.minimum(
-            a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf).sum()))
-    # two spike laws: the terms at the spike outcomes U = {i_p, i_q}, plus
-    # min(1 - e_p, 1 - e_q) 2^-l at each of the other 2^l - |U| outcomes,
-    # written (1 - |U| 2^-l) min(...) so that 2^l is never formed
-    union = {p._spike[0], q._spike[0]}
-    return (sum(min(p.prob(x), q.prob(x)) for x in union)
-            + (1.0 - len(union) * 2.0 ** (-p.outcome_bits))
-            * min(1.0 - p._spike[1], 1.0 - q._spike[1]))
+def _excess(p: Distribution, q: Distribution) -> float:
+    """sum_x (p(x) - q(x))^+, the off-diagonal mass of the maximal coupling."""
+    if p.outcome_bits > DENSE_BITS_CAP:
+        return _spike_pair_distance(p, q)  # that same sum, in closed form
+    a, b = p.masses, q.masses
+    buf = np.empty(min(a.size, _BLOCK))
+
+    def block_sum(lo):
+        np.subtract(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf)
+        return np.maximum(buf, 0.0, out=buf).sum()
+
+    return float(_blockwise_sum(a.size, block_sum))
 
 
 def guessing_probability(p: Distribution) -> float:
@@ -332,7 +330,8 @@ def _fmt(x: float) -> str:
 def dumps_distribution(dist: Distribution) -> str:
     if dist.is_spike:
         idx, eps = dist.spike_params
-        outcome = str(BitString.from_index(idx, dist.outcome_bits))
+        # idx's bits below a leading 1, so the 0-bit spike's literal is ""
+        outcome = format(idx | (1 << dist.outcome_bits), "b")[1:]
         return ('{\n  "outcome_bits": %d,\n  "spike": {"outcome": "%s", '
                 '"epsilon": %s}\n}\n' % (dist.outcome_bits, outcome, _fmt(eps)))
     body = ", ".join(_fmt(m) for m in dist.masses)
@@ -384,7 +383,14 @@ def loads_distribution(text: str) -> Distribution:
         eps = spike.get("epsilon")
         if not _is_json_number(eps):
             raise ValueError(f"epsilon must be a JSON number, got {eps!r}")
-        return Distribution.spike(bits, eps, BitString.from_str(spike["outcome"]))
+        # read directly, so any length passes that Distribution.spike takes
+        outcome = spike["outcome"]
+        if not set(outcome) <= {"0", "1"}:  # int(, 2) alone takes "0b1", "+1"
+            raise ValueError(f"not a bitstring literal: {outcome!r}")
+        if len(outcome) != bits:
+            raise ValueError(
+                f"outcome has {len(outcome)} bits, expected {bits}")
+        return Distribution.spike(bits, eps, int(outcome or "0", 2))
     raise ValueError("distribution file needs either masses or spike")
 
 

@@ -360,6 +360,12 @@ class TestMalformedFields:
                      id="401-digit-mass"),
         '{"outcome_bits": 2, "spike": {"outcome": "01", "epsilon": "0.1"}}',
         '{"outcome_bits": 2, "spike": {"outcome": "01", "epsilon": true}}',
+        # outcome literals: only 0 and 1, exactly outcome_bits of them
+        '{"outcome_bits": 3, "spike": {"outcome": "0b1", "epsilon": 0.1}}',
+        '{"outcome_bits": 3, "spike": {"outcome": "1_0", "epsilon": 0.1}}',
+        '{"outcome_bits": 2, "spike": {"outcome": " 1", "epsilon": 0.1}}',
+        '{"outcome_bits": 2, "spike": {"outcome": "+1", "epsilon": 0.1}}',
+        '{"outcome_bits": 2, "spike": {"outcome": "001", "epsilon": 0.1}}',
     ])
     def test_distribution_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.dist"

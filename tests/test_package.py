@@ -1,6 +1,8 @@
 """The package's export list matches what it binds."""
 
+import re
 import types
+from pathlib import Path
 
 import keysec
 
@@ -11,3 +13,12 @@ def test_all_lists_each_public_name_once():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert set(keysec.__all__) == bound
+
+
+def test_only_probdist_reads_a_laws_storage():
+    # README design notes: only probdist reads how a spike law is laid out
+    layout = re.compile(r"\._(spike|dense)\b")
+    readers = [path.name for path in Path(keysec.__file__).parent.glob("*.py")
+               if path.name != "probdist.py"
+               and layout.search(path.read_text())]
+    assert readers == []

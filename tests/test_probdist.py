@@ -180,18 +180,65 @@ class TestSpikePairDistanceExact:
             q = (Distribution.uniform(l) if kind == "uniform"
                  else Distribution.spike(l, eq, iq))
             exact = exact_spike_pair_distance(l, ip, ep, iq, eq)
-            for d in (statistical_distance(p, q), statistical_distance(q, p)):
+            for a, b in ((p, q), (q, p)):
+                d = statistical_distance(a, b)
                 assert ulps_from(d, exact) <= 2, (l, kind, ep, eq, d)
+                # the maximal coupling's mismatch is the same one sum
+                assert maximal_mismatch(a, b) == d, (l, kind, ep, eq)
 
     def test_no_cancellation_at_tiny_eps(self):
         # the background difference of two rounded masses once swamped eps
         l = 21
         spike = Distribution.spike(l, 1e-12, (1 << l) - 1)
-        assert statistical_distance(spike, Distribution.uniform(l)) == \
+        u = Distribution.uniform(l)
+        assert statistical_distance(spike, u) == \
             float(exact_spike_pair_distance(l, (1 << l) - 1, 1e-12, 0, 0.0))
+        assert maximal_mismatch(spike, u) == 9.999995231628419e-13
         a = Distribution.spike(64, 1e-300, 0)
         b = Distribution.spike(64, 1e-300, (1 << 64) - 1)
         assert statistical_distance(a, b) == 1e-300  # once printed as 0.0
+        assert maximal_mismatch(a, b) == 1e-300
+
+
+def exact_excess(a, b):
+    """sum_x (a(x) - b(x))^+ over the stored masses, in rationals.
+
+    Each distinct (a(x), b(x)) pair is summed once, times its count, so an
+    expanded spike costs two terms however many outcomes it has.
+    """
+    pairs, counts = np.unique(a + 1j * b, return_counts=True)  # exact
+    return sum(int(c) * max(Fraction(z.real) - Fraction(z.imag), 0)
+               for z, c in zip(pairs.tolist(), counts))
+
+
+class TestDenseMismatchExact:
+    """Up to the dense cap the mismatch sums the excess (a - b)^+ pairwise;
+    it must stay within (log2 n + 2) 2^-53 relative of the exact sum over
+    the stored masses, which a cancelling 1 - sum min(a, b) misses."""
+
+    @staticmethod
+    def assert_near_exact(p, q):
+        m = maximal_mismatch(p, q)
+        exact = exact_excess(p.masses, q.masses)
+        bound = Fraction(p.outcome_bits + 2, 1 << 53) * exact
+        assert abs(Fraction(m) - exact) <= bound, (p, q, m, float(exact))
+
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_random_laws(self, bits):
+        rng = np.random.default_rng(bits)
+        for _ in range(4):
+            p = random_distribution(rng, bits, zero_outcomes=1)
+            q = random_distribution(rng, bits)
+            self.assert_near_exact(p, q)
+            self.assert_near_exact(q, p)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 1e-3, 0.3, 1.0])
+    @pytest.mark.parametrize("bits", [11, 16, 20])
+    def test_spike_against_uniform(self, bits, eps):
+        spike = Distribution.spike(bits, eps, 5).expand_dense()
+        u = Distribution.uniform(bits)
+        self.assert_near_exact(spike, u)
+        self.assert_near_exact(u, spike)
 
 
 class TestStatisticalDistance:
@@ -441,6 +488,25 @@ class TestFileFormat:
         assert back.is_spike
         assert back.spike_params == d.spike_params
 
+    @pytest.mark.parametrize("bits", [0, 2**20 + 1])
+    def test_spike_round_trip_at_any_length(self, bits):
+        # the outcome literal bypasses BitString, which is capped at 2^20
+        for idx in (0, 12345 if bits else 0, (1 << bits) - 1):
+            text = dumps_distribution(Distribution.spike(bits, 0.1, idx))
+            back = loads_distribution(text)
+            assert back.outcome_bits == bits
+            assert back.spike_params == (idx, 0.1)
+
+    # int(literal, 2) alone would take the first five
+    @pytest.mark.parametrize("bits, literal", [
+        (3, "0b1"), (3, "1_0"), (2, " 1"), (2, "+1"), (2, "1\\u0661"),
+        (2, "1"), (2, "001"), (2, ""), (0, "0")])
+    def test_malformed_spike_outcome(self, bits, literal):
+        with pytest.raises(ValueError, match="bitstring literal|expected"):
+            loads_distribution('{"outcome_bits": %d, "spike": '
+                               '{"outcome": "%s", "epsilon": 0.1}}'
+                               % (bits, literal))
+
     def test_seventeen_digit_serialization(self):
         d = Distribution(1, [1.0 / 3.0, 2.0 / 3.0])
         text = dumps_distribution(d)
@@ -535,8 +601,7 @@ class TestStreamedKernels:
             a, b = p.masses, q.masses
             assert statistical_distance(p, q) == float(
                 0.5 * np.abs(a - b).sum())
-            assert maximal_mismatch(p, q) == min(1.0, max(
-                0.0, 1.0 - float(np.minimum(a, b).sum())))
+            assert maximal_mismatch(p, q) == float(np.maximum(a - b, 0).sum())
 
     @pytest.mark.parametrize("block_len", [15, 16])
     def test_empirical_distance_scalar_background(self, block_len):
