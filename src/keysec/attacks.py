@@ -46,17 +46,16 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     total probability to max_k p_k(k): the ciphertext observation leaves
     a uniformly keyed pad at exactly 2^(-l).
 
-    The unnormalized row p_k(k) p_x(c xor k) is never built whole: it is
-    formed one cache block at a time, each key block pairing with one
-    plaintext block, and reduced to its total and argmax there.
+    The unnormalized row p_k(k) p_x(c xor k) is never built whole: one
+    cache block at a time, each key block (reduced to its max) meets one
+    plaintext block, and their product is reduced to its total and argmax.
     """
     l = p_k.outcome_bits
     if p_x.outcome_bits != l or len(c) != l:
         raise ValueError(
             f"lengths differ: key {l}, plaintext {p_x.outcome_bits}, "
             f"ciphertext {len(c)}")
-    key_masses = p_k.masses
-    plain_masses = p_x.masses
+    key_masses, plain_masses = p_k.masses, p_x.masses
     c_idx = c.to_index()
     n = 1 << l
     m = min(n, _BLOCK)
@@ -65,14 +64,15 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     c_high = c_idx & -_BLOCK
     cols = np.arange(m) ^ (c_idx & (m - 1))
     buf = np.empty(m)
-    map_mass, map_idx = -1.0, 0
+    map_mass, map_idx, key_max = -1.0, 0, 0.0
 
     def block_sum(lo):
-        nonlocal map_mass, map_idx
+        nonlocal map_mass, map_idx, key_max
         start = lo ^ c_high
         # every index is in range; with the default mode="raise",
         # np.take copies through a hidden buffer
         np.take(plain_masses[start:start + m], cols, out=buf, mode="clip")
+        key_max = max(key_max, key_masses[lo:lo + m].max())
         np.multiply(buf, key_masses[lo:lo + m], out=buf)
         j = int(buf.argmax())
         if buf[j] > map_mass:  # strictly, so ties keep the lowest index
@@ -85,7 +85,7 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     return AttackReport(
         map_guess=BitString.from_index(map_idx, l),
         map_posterior=float(map_mass / p_c),
-        avg_success=float(key_masses.max()),
+        avg_success=float(key_max),
     )
 
 

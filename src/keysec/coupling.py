@@ -15,9 +15,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bounds import LogProb
-from .probdist import (ConditionalChannel, Distribution, JointDistribution,
-                       _check_same_space, _excess, _total_variation,
-                       statistical_distance)
+from .probdist import (_BLOCK, ConditionalChannel, Distribution,
+                       JointDistribution, _blockwise_sum, _check_same_space,
+                       _excess, _total_variation, statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
 MARGINAL_TOLERANCE = 1e-9
@@ -49,9 +49,22 @@ class Coupling:
 
 
 def mismatch_probability(c: Coupling) -> float:
-    """Pr[X != Y] = 1 - sum_x joint(x, x), clamped to [0, 1]."""
-    agree = float(np.trace(c.joint.masses))
-    return min(1.0, max(0.0, 1.0 - agree))
+    """Pr[X != Y], the joint's off-diagonal mass, capped at 1.
+
+    Summed directly, not as the cancelling 1 - trace.  Each block of
+    _BLOCK entries is copied and its diagonal zeroed there, so a 12-bit
+    joint (128 MiB) is never copied whole.
+    """
+    flat = c.joint.masses.reshape(-1)  # a view: the joint is C-contiguous
+    step = c.joint.masses.shape[0] + 1  # flat index of (x, x) is x * step
+    buf = np.empty(min(flat.size, _BLOCK))
+
+    def block_sum(lo):
+        np.copyto(buf, flat[lo:lo + _BLOCK])
+        buf[-lo % step::step] = 0.0
+        return buf.sum()
+
+    return min(1.0, float(_blockwise_sum(flat.size, block_sum)))
 
 
 def maximal_mismatch(p: Distribution, q: Distribution) -> float:

@@ -41,15 +41,15 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
 
 
 def _validated_masses(arr: np.ndarray) -> np.ndarray:
-    # NaN fails ``>= 0``, so it is rejected together with negative masses.
-    if not np.all(arr >= 0):
+    # a NaN mass makes min() NaN, which fails ``>= 0``; arr is a private copy
+    if not arr.min() >= 0:
         raise ValueError("negative or NaN probability mass")
     with np.errstate(over="ignore"):  # huge masses sum to inf, refused below
         total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"masses sum to {total!r}, outside 1 +- {SUM_TOLERANCE}")
     if total != 1.0:
-        arr = arr / total
+        arr /= total  # in place, the same IEEE quotients as arr / total
     return arr
 
 
@@ -115,10 +115,10 @@ class Distribution:
     @classmethod
     def uniform(cls, outcome_bits: int) -> Distribution:
         outcome_bits = _integral(outcome_bits, "outcome_bits")
-        if outcome_bits <= DENSE_BITS_CAP:
-            n = 1 << outcome_bits
-            return cls._raw_dense(outcome_bits, np.full(n, 1.0 / n))
-        return cls.spike(outcome_bits, 0.0, 0)
+        if outcome_bits > DENSE_BITS_CAP:
+            return cls.spike(outcome_bits, 0.0, 0)
+        n = 1 << outcome_bits  # one float, read through a stride-0 view
+        return cls._raw_dense(outcome_bits, np.broadcast_to(1.0 / n, (n,)))
 
     # -- queries ---------------------------------------------------------
 
@@ -211,8 +211,8 @@ class ConditionalChannel:
         if mat.shape != (1 << in_bits, 1 << out_bits):
             raise ValueError(
                 f"expected shape {(1 << in_bits, 1 << out_bits)}, got {mat.shape}")
-        for i, row in enumerate(mat):
-            mat[i] = _validated_masses(row)
+        for row in mat:  # each row a view, renormalized in place
+            _validated_masses(row)
         self.in_bits = in_bits
         self.out_bits = out_bits
         self.matrix = mat

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from keysec import Distribution, JointDistribution
@@ -44,3 +46,14 @@ def direct_sum_distance_oracle(p, q):
     for x in range(p.n_outcomes):
         total += abs(p.prob(x) - q.prob(x))
     return 0.5 * total
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -1,9 +1,10 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import product_joint, random_distribution
+from helpers import product_joint, random_distribution, traced_peak
 from keysec import (ConditionalChannel, ContradictionReport, Coupling,
                     Distribution, JointDistribution, contradiction_report,
                     copy_vs_channel_gap, independent_coupling_failure,
@@ -66,6 +67,29 @@ class TestMismatchProbability:
         c = maximal_coupling(Distribution(1, [0.5, 0.5]),
                              Distribution(1, [0.75, 0.25]))
         assert mismatch_probability(c) == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_off_diagonal_mass_against_fraction(self, l):
+        # 1 - trace cancels: at 8 bits the spike pair gave 9.9609e-13
+        # beside an exact off-diagonal mass of 9.9607e-13
+        rng = np.random.default_rng(l)
+        pairs = [(Distribution.spike(l, 1e-12, 3 % (1 << l)).expand_dense(),
+                  Distribution.uniform(l)),
+                 (random_distribution(rng, l), random_distribution(rng, l))]
+        for p, q in pairs:
+            c = maximal_coupling(p, q)
+            joint = c.joint.masses
+            exact = (sum(map(Fraction, joint.ravel().tolist()))
+                     - sum(map(Fraction, np.diag(joint).tolist())))
+            got = mismatch_probability(c)
+            assert abs(Fraction(got) - exact) <= \
+                (2 * l + 2) * Fraction(2) ** -53 * exact
+
+    def test_joint_is_never_copied_whole(self):
+        c = maximal_coupling(Distribution.spike(10, 1e-3, 5).expand_dense(),
+                             Distribution.uniform(10))
+        _, peak = traced_peak(lambda: mismatch_probability(c))
+        assert peak < 1 << 20  # the joint is 8 MiB
 
 
 class TestMaximalCoupling:

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (direct_sum_distance_oracle, event_set_distance_oracle,
-                     product_joint, random_distribution, random_joint)
+                     product_joint, random_distribution, random_joint,
+                     traced_peak)
 from keysec import (BitString, ConditionalChannel, Distribution,
                     JointDistribution, SampleSet, binary_entropy,
                     ciphertext_only_attack, conditional_guessing_probability,
-                    copy_vs_channel_gap, empirical_distance,
-                    guessing_probability, maximal_mismatch,
-                    statistical_distance)
+                    contradiction_report, copy_vs_channel_gap,
+                    empirical_distance, guessing_probability, kpa_next_bits,
+                    maximal_coupling, maximal_mismatch, statistical_distance)
 from keysec.probdist import (_BLOCK, _blockwise_sum, dumps_distribution,
                              loads_distribution)
 
@@ -614,3 +615,71 @@ class TestStreamedKernels:
         point = Distribution.spike(20, 1.0, 0)
         with pytest.raises(ValueError, match="zero probability"):
             ciphertext_only_attack(BitString.from_index(1, 20), point, point)
+
+
+class TestUniformView:
+    """``Distribution.uniform`` holds one float and answers as the full law."""
+
+    @pytest.mark.parametrize("l", [0, 1, 8, 14, 15, 20])
+    def test_queries_match_explicit_uniform(self, l):
+        view = Distribution.uniform(l)
+        assert view.masses.strides == (0,)
+        assert not view.masses.flags.writeable
+        rng = np.random.default_rng(l)
+        p = random_distribution(rng, l)
+        c = BitString.from_index(int(rng.integers(1 << l)), l)
+        prefix = BitString.from_index(int(rng.integers(1 << l // 2)), l // 2)
+
+        def answers(u):
+            out = [u.prob(0), u.prob((1 << l) - 1), u.support_size(),
+                   guessing_probability(u),
+                   statistical_distance(u, p), statistical_distance(p, u),
+                   maximal_mismatch(u, p), maximal_mismatch(p, u),
+                   ciphertext_only_attack(c, u, p),
+                   ciphertext_only_attack(c, p, u),
+                   dumps_distribution(u)]
+            if l >= 1:  # the independent-failure bound needs a key bit
+                out.append(contradiction_report(u))
+            if l >= 2:
+                out.append(kpa_next_bits(u, prefix))
+            if l <= 8:
+                out += [maximal_coupling(u, p).joint.masses.tobytes(),
+                        maximal_coupling(p, u).joint.masses.tobytes()]
+            return out
+
+        assert answers(view) == answers(
+            Distribution(l, np.full(1 << l, 2.0 ** -l)))
+
+
+class TestAllocationBounds:
+    """The documented allocation peaks of the kernels at the dense cap."""
+
+    def test_uniform_is_one_float(self):
+        _, peak = traced_peak(lambda: Distribution.uniform(20))
+        assert peak < 4 << 10
+
+    def test_constructor_holds_one_copy(self):
+        w = np.random.default_rng(20).random(1 << 20)
+        m = w / w.sum() * (1 + 1e-12)  # renormalized, not stored as given
+        assert m.sum() != 1.0
+        given_bytes = m.tobytes()
+        p, peak = traced_peak(lambda: Distribution(20, m))
+        assert peak <= 8.5 * (1 << 20)
+        assert m.flags.writeable and m.tobytes() == given_bytes
+        assert p.masses.tobytes() == (m / m.sum()).tobytes()
+
+    @pytest.mark.parametrize("kernel", [statistical_distance,
+                                        maximal_mismatch])
+    def test_distance_to_uniform_streams(self, kernel):
+        p = random_distribution(np.random.default_rng(21), 20)
+        _, peak = traced_peak(lambda: kernel(p, Distribution.uniform(20)))
+        assert peak <= 160 << 10
+
+    def test_ciphertext_only_attack_streams(self):
+        rng = np.random.default_rng(22)
+        p_x, p_k = random_distribution(rng, 20), random_distribution(rng, 20)
+        c = BitString.from_index(int(rng.integers(1 << 20)), 20)
+        report, peak = traced_peak(
+            lambda: ciphertext_only_attack(c, p_x, p_k))
+        assert peak <= 320 << 10
+        assert report.avg_success == guessing_probability(p_k)
