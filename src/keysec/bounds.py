@@ -34,10 +34,6 @@ class NoSolutionError(Exception):
 
 def log2_add(a: float, b: float) -> float:
     """log2(2^a + 2^b) without underflow."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(2.0 ** (lo - hi)) / math.log(2.0)
 

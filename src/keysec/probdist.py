@@ -1,11 +1,12 @@
 """Exact finite probability distributions over bitstring outcome spaces.
 
 Distributions are either dense (one mass per outcome, spaces up to 2^20)
-or spike-shaped (a point mass of weight eps mixed with uniform background),
-the latter usable at up to 2^53 bits because every query it answers is
-closed form.  This is the one module that reads a spike's layout: above
-the dense cap it also holds the one spike-pair sum, sum_x (p(x) - q(x))^+,
-which is both the distance and ``coupling.maximal_mismatch``.  All
+or spike-shaped (a point mass of weight eps mixed with uniform background,
+the uniform law being eps = 0), the latter usable at up to 2^53 bits
+because every query it answers is closed form.  This is the one module
+that reads a spike's layout: it also holds the one spike-pair sum,
+sum_x (p(x) - q(x))^+, which is both the distance and
+``coupling.maximal_mismatch`` of two spikes at every length.  All
 operations are pure; values are immutable after construction.
 """
 
@@ -59,9 +60,10 @@ class Distribution:
     Dense form stores one float per outcome; the constructor rejects
     negative or NaN masses and totals off by more than 1e-9, and renormalizes
     smaller deviations.  Spike form stores (spike outcome, eps) and
-    represents eps * point(outcome) + (1 - eps) * uniform; its lookups
-    are computed with the exact expressions used by ``expand_dense``,
-    so both forms answer ``prob`` identically bit for bit.
+    represents eps * point(outcome) + (1 - eps) * uniform, so the uniform
+    law is the eps = 0 spike; its lookups are computed with the exact
+    expressions used by ``expand_dense``, so both forms answer ``prob``
+    identically bit for bit.
     """
 
     __slots__ = ("outcome_bits", "_dense", "_spike")
@@ -80,17 +82,6 @@ class Distribution:
         self._dense = _validated_masses(arr)
         self._dense.flags.writeable = False
         self._spike = None
-
-    @classmethod
-    def _raw_dense(cls, outcome_bits: int, arr: np.ndarray) -> Distribution:
-        # Bypasses renormalization; caller guarantees validity.  Needed so a
-        # spike expansion keeps lookup values bit-identical to the spike form.
-        self = object.__new__(cls)
-        self.outcome_bits = outcome_bits
-        self._dense = np.asarray(arr, dtype=float)
-        self._dense.flags.writeable = False
-        self._spike = None
-        return self
 
     @classmethod
     def spike(cls, outcome_bits: int, epsilon: float, outcome) -> Distribution:
@@ -114,11 +105,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, outcome_bits: int) -> Distribution:
-        outcome_bits = _integral(outcome_bits, "outcome_bits")
-        if outcome_bits > DENSE_BITS_CAP:
-            return cls.spike(outcome_bits, 0.0, 0)
-        n = 1 << outcome_bits  # one float, read through a stride-0 view
-        return cls._raw_dense(outcome_bits, np.broadcast_to(1.0 / n, (n,)))
+        return cls.spike(outcome_bits, 0.0, 0)
 
     # -- queries ---------------------------------------------------------
 
@@ -164,9 +151,17 @@ class Distribution:
                 f"{self.outcome_bits}-bit space cannot be materialized")
         spike_idx, eps = self._spike
         background = self._background()
-        arr = np.full(self.n_outcomes, background)
-        arr[spike_idx] = eps + background
-        return Distribution._raw_dense(self.outcome_bits, arr)
+        if eps:
+            arr = np.full(self.n_outcomes, background)
+            arr[spike_idx] = eps + background
+        else:  # the uniform law: one float, read through a stride-0 view
+            arr = np.broadcast_to(background, (self.n_outcomes,))
+        arr.flags.writeable = False
+        # not renormalized, so lookups stay bit-identical to the spike form
+        dense = object.__new__(Distribution)
+        dense.outcome_bits = self.outcome_bits
+        dense._dense, dense._spike = arr, None
+        return dense
 
     def support_size(self) -> int:
         if self._spike is None:
@@ -237,9 +232,9 @@ def _check_same_space(p: Distribution, q: Distribution) -> None:
 def statistical_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance (1/2) sum_x |p(x) - q(x)|."""
     _check_same_space(p, q)
-    if p.outcome_bits <= DENSE_BITS_CAP:
-        return _total_variation(p.masses, q.masses)
-    return _spike_pair_distance(p, q)
+    if p.is_spike and q.is_spike:
+        return _spike_pair_distance(p, q)
+    return _total_variation(p.masses, q.masses)
 
 
 def _blockwise_sum(n: int, block_sum) -> float:
@@ -258,15 +253,14 @@ def _blockwise_sum(n: int, block_sum) -> float:
 
 
 def _total_variation(a, b) -> float:
-    # (1/2) sum |a - b| over arrays of masses (or a scalar background).
+    # (1/2) sum |a - b| over two arrays of masses of one shape
     n = np.size(a)
     if np.ndim(a) != 1 or n & (n - 1):
         return float(0.5 * np.abs(a - b).sum())
     buf = np.empty(min(n, _BLOCK))
 
     def block_sum(lo):
-        b_lo = b[lo:lo + _BLOCK] if np.ndim(b) else b
-        np.subtract(a[lo:lo + _BLOCK], b_lo, out=buf)
+        np.subtract(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf)
         return np.abs(buf, out=buf).sum()
 
     return float(0.5 * _blockwise_sum(n, block_sum))
@@ -286,7 +280,7 @@ def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
 
 def _excess(p: Distribution, q: Distribution) -> float:
     """sum_x (p(x) - q(x))^+, the off-diagonal mass of the maximal coupling."""
-    if p.outcome_bits > DENSE_BITS_CAP:
+    if p.is_spike and q.is_spike:
         return _spike_pair_distance(p, q)  # that same sum, in closed form
     a, b = p.masses, q.masses
     buf = np.empty(min(a.size, _BLOCK))

@@ -223,7 +223,8 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
 
 def empirical_distance(s: SampleSet) -> float:
     """Distance of the observed block frequencies from exact uniform."""
-    return _total_variation(s.counts() / s.count, 2.0 ** (-s.block_len))
+    return _total_variation(s.counts() / s.count,
+                            Distribution.uniform(s.block_len).masses)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ class TestLogProb:
     def test_log2_add(self):
         assert log2_add(-4.0, -4.0) == pytest.approx(-3.0, abs=1e-15)
         assert log2_add(-1.0, -math.inf) == -1.0
+        assert log2_add(-math.inf, -1.0) == -1.0
 
     @given(st.lists(st.floats(min_value=-5000.0, max_value=0.0), min_size=2,
                     max_size=10))

@@ -109,10 +109,17 @@ class TestCouplingCommand:
 
     def test_pair_expands_each_spike_once(self, capsys, tmp_path,
                                           monkeypatch):
+        # two spikes meet in closed form; a spike against a dense law is
+        # expanded once for both the distance and the mismatch
         p, q = tmp_path / "p20.dist", tmp_path / "q20.dist"
         save_distribution(Distribution.spike(20, 1e-3, 5), p)
         save_distribution(Distribution.spike(20, 1e-6, 9), q)
-        dense = machine(capsys, "coupling", "--p", str(p), "--q", str(q))
+        s12, d12 = tmp_path / "s12.dist", tmp_path / "d12.dist"
+        save_distribution(Distribution.spike(12, 1e-3, 5), s12)
+        save_distribution(Distribution.spike(12, 1e-6, 9).expand_dense(), d12)
+        pairs = [(p, q, []), (s12, d12, [12]), (d12, s12, [12])]
+        before = [machine(capsys, "coupling", "--p", str(a), "--q", str(b))
+                  for a, b, _ in pairs]
         expand = Distribution.expand_dense
         expansions = []
 
@@ -122,9 +129,11 @@ class TestCouplingCommand:
             return expand(self)
 
         monkeypatch.setattr(Distribution, "expand_dense", counting)
-        assert machine(capsys, "coupling", "--p", str(p),
-                       "--q", str(q)) == dense
-        assert expansions == [20, 20]
+        for (a, b, expanded), doc in zip(pairs, before):
+            expansions.clear()
+            assert machine(capsys, "coupling", "--p", str(a),
+                           "--q", str(b)) == doc
+            assert expansions == expanded
 
     def test_pair_outcome_spaces_checked_before_expanding(self, capsys,
                                                          tmp_path):

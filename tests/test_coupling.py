@@ -287,8 +287,9 @@ class TestContradictionReport:
         assert report.independent_failure == 1 - 2.0 ** -24
 
     def test_spike_expanded_once(self, monkeypatch):
+        # a spike against uniform is the closed form: nothing is expanded,
+        # and both fields are eps (1 - 2^-12) correctly rounded
         spike = Distribution.spike(12, 1e-3, 5)
-        dense = contradiction_report(spike.expand_dense())
         expand = Distribution.expand_dense
         expansions = []
 
@@ -298,8 +299,11 @@ class TestContradictionReport:
             return expand(self)
 
         monkeypatch.setattr(Distribution, "expand_dense", counting)
-        assert contradiction_report(spike) == dense
-        assert expansions == [12]
+        exact = float(Fraction(1e-3) * (1 - Fraction(1, 1 << 12)))
+        assert exact == 0.000999755859375
+        assert contradiction_report(spike) == ContradictionReport(
+            exact, exact, 1 - 2.0 ** -12)
+        assert expansions == []
 
     def test_failure_fixed_while_delta_varies(self):
         rng = np.random.default_rng(31)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -156,8 +157,9 @@ def ulps_from(value, exact):
 
 
 class TestSpikePairDistanceExact:
-    """Above the dense cap the spike-pair distance is closed form; it must
-    stay within 2 ulp of the exact distance at every length and epsilon."""
+    """The distance of two spikes is closed form at every length, below the
+    dense cap as above it; it must stay within 2 ulp of the exact distance
+    at every length and epsilon."""
 
     EPS = [0.0, 1e-300, 1e-12, 1e-6, 0.5, 1 - 1e-16, 1.0]
 
@@ -169,7 +171,8 @@ class TestSpikePairDistanceExact:
                 + [10.0 ** r.uniform(-320, 0) for _ in range(4)])
 
     @pytest.mark.parametrize("kind", ["same", "different", "uniform"])
-    @pytest.mark.parametrize("l", [21, 24, 53, 54, 64, 1075, 10**4])
+    @pytest.mark.parametrize("l", [0, 1, 2, 8, 12, 20, 21, 24, 53, 54, 64,
+                                   1075, 10**4])
     def test_within_two_ulp_of_exact(self, l, kind):
         ip = (1 << l) - 1
         iq = ip if kind == "same" else 0
@@ -513,7 +516,7 @@ class TestFileFormat:
         text = dumps_distribution(d)
         assert "3.3333333333333331e-01" in text
         # every real carries 17 significant digits, even dyadic ones
-        u = dumps_distribution(Distribution.uniform(1))
+        u = dumps_distribution(Distribution(1, [0.5, 0.5]))
         assert "5.0000000000000000e-01" in u
 
     def test_malformed_document(self):
@@ -636,8 +639,7 @@ class TestUniformView:
                    statistical_distance(u, p), statistical_distance(p, u),
                    maximal_mismatch(u, p), maximal_mismatch(p, u),
                    ciphertext_only_attack(c, u, p),
-                   ciphertext_only_attack(c, p, u),
-                   dumps_distribution(u)]
+                   ciphertext_only_attack(c, p, u)]
             if l >= 1:  # the independent-failure bound needs a key bit
                 out.append(contradiction_report(u))
             if l >= 2:
@@ -647,8 +649,13 @@ class TestUniformView:
                         maximal_coupling(p, u).joint.masses.tobytes()]
             return out
 
-        assert answers(view) == answers(
-            Distribution(l, np.full(1 << l, 2.0 ** -l)))
+        explicit = answers(Distribution(l, np.full(1 << l, 2.0 ** -l)))
+        assert answers(view) == explicit
+        # the uniform law is written as the eps = 0 spike, and read back
+        text = dumps_distribution(view)
+        assert json.loads(text) == {
+            "outcome_bits": l, "spike": {"outcome": "0" * l, "epsilon": 0.0}}
+        assert answers(loads_distribution(text)) == explicit
 
 
 class TestAllocationBounds:
@@ -656,6 +663,11 @@ class TestAllocationBounds:
 
     def test_uniform_is_one_float(self):
         _, peak = traced_peak(lambda: Distribution.uniform(20))
+        assert peak < 4 << 10
+
+    def test_spike_report_expands_nothing(self):
+        spike = Distribution.spike(20, 1e-6, 5)
+        _, peak = traced_peak(lambda: contradiction_report(spike))
         assert peak < 4 << 10
 
     def test_constructor_holds_one_copy(self):
