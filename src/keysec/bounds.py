@@ -10,7 +10,7 @@ extractable length, and the security-rate trade-off solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bits import _integral
 
@@ -168,11 +168,10 @@ def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> EfficiencyR
 
 @dataclass(frozen=True)
 class FiniteKeyParams:
-    """Inputs to the extractable-key-length formula.
+    """Protocol inputs to the key-length formula; eps_bar is its argument.
 
     ``leak_ec`` defaults to the reconciliation convention 1.1 n h(Q) when
-    omitted.  ``eps_bar`` may be left None when the parameter set feeds
-    the rate solver, which supplies its own.
+    omitted.
     """
 
     n: int
@@ -181,7 +180,6 @@ class FiniteKeyParams:
     leak_ec: float | None = None
     p_fail: float = DEFAULT_P_FAIL
     eps_cor: float = DEFAULT_EPS_COR
-    eps_bar: float | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -192,8 +190,6 @@ class FiniteKeyParams:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.eps_bar is not None and not 0.0 < self.eps_bar <= 1.0:
-            raise ValueError(f"eps_bar must be in (0, 1], got {self.eps_bar}")
         if self.leak_ec is not None and not 0.0 <= self.leak_ec < math.inf:
             raise ValueError("leak_ec must be finite and >= 0")
 
@@ -204,15 +200,15 @@ class FiniteKeyParams:
         return DEFAULT_LEAK_FACTOR * self.n * binary_entropy(self.q)
 
 
-def extractable_key_length(p: FiniteKeyParams) -> int:
+def extractable_key_length(p: FiniteKeyParams, eps_bar: float) -> int:
     """Length of key extractable from an n-bit reconciled block.
 
     floor of n (1 - h(Q + mu)) - Leak_EC - log2(2 p_fail / (eps_bar^2
     eps_cor)), clamped at zero.  Logs are base 2: lengths are in bits.
     """
-    if p.eps_bar is None:
-        raise ValueError("eps_bar is required for a key-length evaluation")
-    return max(0, math.floor(_key_bits(p, p.eps_bar)))
+    if not 0.0 < eps_bar <= 1.0:  # also refuses NaN
+        raise ValueError(f"eps_bar must be in (0, 1], got {eps_bar}")
+    return max(0, math.floor(_key_bits(p, eps_bar)))
 
 
 def _key_bits(p: FiniteKeyParams, eps_bar: float) -> float:
@@ -252,7 +248,7 @@ def epsilon_for_security_rate(s_target: float,
         eps = s_target * l
         if eps > 1.0:
             return -1
-        return extractable_key_length(replace(params, eps_bar=eps)) - l
+        return extractable_key_length(params, eps) - l
 
     bits = _key_bits(params, 1.0)
     top = max(0, math.floor(bits))  # L(1), the longest key at any eps_bar

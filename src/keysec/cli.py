@@ -22,12 +22,6 @@ from .bits import BitString
 TINY_PRINT_LOG10 = -300.0  # below this, only exponent fields are reported
 
 
-def _log10_or_none(p: float) -> float | None:
-    if p <= 0.0:
-        return None
-    return math.log10(p)
-
-
 def _prob_fields(name: str, lp: bounds.LogProb) -> dict:
     """Value plus exponent forms; the value is dropped when unprintable."""
     fields = {
@@ -101,10 +95,10 @@ def _cmd_rate(args) -> dict:
         "leak_ec": params.effective_leak_ec, "p_fail": args.p_fail,
         "eps_cor": args.eps_cor, "s_target": args.s_target,
         "eps_bar": solution.eps_bar,
-        "eps_bar_log10": _log10_or_none(solution.eps_bar),
+        "eps_bar_log10": math.log10(solution.eps_bar),
         "key_len": solution.l,
         "rate": solution.rate,
-        "rate_log10": _log10_or_none(solution.rate),
+        "rate_log10": math.log10(solution.rate),
     }
 
 
@@ -157,9 +151,9 @@ def _attack_report_fields(report: attacks.AttackReport) -> dict:
     return {
         "map_guess": str(report.map_guess),
         "map_posterior": report.map_posterior,
-        "map_posterior_log10": _log10_or_none(report.map_posterior),
+        "map_posterior_log10": math.log10(report.map_posterior),
         "avg_success": report.avg_success,
-        "avg_success_log10": _log10_or_none(report.avg_success),
+        "avg_success_log10": math.log10(report.avg_success),
     }
 
 

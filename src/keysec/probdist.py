@@ -176,20 +176,24 @@ class Distribution:
         return f"Distribution({self.outcome_bits}, <{self.n_outcomes} masses>)"
 
 
+def _mass_matrix(masses, rows: tuple, cols: tuple) -> tuple:
+    # (row bits, column bits, a private float copy of the 2^r x 2^c
+    # matrix); each (bits, name) side is capped before 1 << bits is built
+    r, c = (_integral(b, name, 0, DENSE_BITS_CAP) for b, name in (rows, cols))
+    arr = np.array(masses, dtype=float)
+    if arr.shape != (1 << r, 1 << c):
+        raise ValueError(f"expected shape {(1 << r, 1 << c)}, got {arr.shape}")
+    return r, c, arr
+
+
 class JointDistribution:
     """Joint mass function over a pair of bitstring spaces, indexed (x, y)."""
 
     __slots__ = ("x_bits", "y_bits", "masses")
 
     def __init__(self, x_bits: int, y_bits: int, masses):
-        x_bits = _integral(x_bits, "x_bits")
-        y_bits = _integral(y_bits, "y_bits")
-        arr = np.array(masses, dtype=float)
-        if arr.shape != (1 << x_bits, 1 << y_bits):
-            raise ValueError(
-                f"expected shape {(1 << x_bits, 1 << y_bits)}, got {arr.shape}")
-        self.x_bits = x_bits
-        self.y_bits = y_bits
+        self.x_bits, self.y_bits, arr = _mass_matrix(
+            masses, (x_bits, "x_bits"), (y_bits, "y_bits"))
         self.masses = _validated_masses(arr)
         self.masses.flags.writeable = False
 
@@ -200,16 +204,10 @@ class ConditionalChannel:
     __slots__ = ("in_bits", "out_bits", "matrix")
 
     def __init__(self, in_bits: int, out_bits: int, rows):
-        in_bits = _integral(in_bits, "in_bits")
-        out_bits = _integral(out_bits, "out_bits")
-        mat = np.array(rows, dtype=float)
-        if mat.shape != (1 << in_bits, 1 << out_bits):
-            raise ValueError(
-                f"expected shape {(1 << in_bits, 1 << out_bits)}, got {mat.shape}")
+        self.in_bits, self.out_bits, mat = _mass_matrix(
+            rows, (in_bits, "in_bits"), (out_bits, "out_bits"))
         for row in mat:  # each row a view, renormalized in place
             _validated_masses(row)
-        self.in_bits = in_bits
-        self.out_bits = out_bits
         self.matrix = mat
         self.matrix.flags.writeable = False
 

@@ -129,9 +129,9 @@ def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 
 
 def _trace_norm(mat: np.ndarray) -> float:
-    # sum |eigenvalues| of the Hermitian part
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    return np.abs(eigs).sum()
+    # sum |eigenvalues|; mat is a real combination of stored Hermitian
+    # parts, so exactly Hermitian, and eigvalsh reads its lower triangle
+    return np.abs(np.linalg.eigvalsh(mat)).sum()
 
 
 def trace_distance_q(rho: DensityMatrix, sigma: DensityMatrix) -> float:

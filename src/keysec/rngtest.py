@@ -21,7 +21,6 @@ import numpy as np
 
 from .bits import _integral
 from .bounds import LogProb
-from .coupling import independent_coupling_failure
 from .probdist import (_BLOCK, ConditionalChannel, Distribution,
                        _total_variation, statistical_distance)
 
@@ -214,7 +213,6 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
     The one-bit iid case is the closed form |bias|, kept exact rather
     than recovered through lossy 0.5 + bias float round trips.
     """
-    block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     if isinstance(model, BernoulliSource) and block_len == 1:
         return abs(model.bias)
     return statistical_distance(block_distribution(model, block_len),
@@ -239,9 +237,9 @@ def uniformity_failure_report(s: SampleSet) -> UniformityReport:
 
     ``exactly_uniform`` demands every block value appear exactly
     count / 2^block_len times, which already requires divisibility and
-    in practice never happens.  ``independent_failure`` is 1 - 2^(-l)
-    from the coupling module: it depends only on the block length, not
-    on the sample or the model, however small ``empirical_delta`` gets.
+    in practice never happens.  ``independent_failure`` is the 1 - 2^(-l)
+    of an independent comparison: it depends only on the block length,
+    not on the sample or the model, however small ``empirical_delta`` gets.
     """
     n_outcomes = 1 << s.block_len
     exactly_uniform = False
@@ -250,5 +248,5 @@ def uniformity_failure_report(s: SampleSet) -> UniformityReport:
     return UniformityReport(
         empirical_delta=empirical_distance(s),
         exactly_uniform=exactly_uniform,
-        independent_failure=independent_coupling_failure(s.block_len),
+        independent_failure=LogProb.one_minus_pow2(s.block_len),
     )

@@ -24,7 +24,6 @@ from keysec import (BitString, ConditionalChannel, Distribution,
                     trace_distance_q, uniformity_failure_report,
                     yuen_upper_bound, BernoulliSource, DensityMatrix,
                     model_distance_to_uniform)
-from dataclasses import replace
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -216,8 +215,7 @@ def test_criterion_10_finite_key_tradeoff():
         small_ok = True
     params = default_rate_params(10**6)
     grid = np.logspace(-20, -1, 20)
-    lengths = [extractable_key_length(replace(params, eps_bar=float(e)))
-               for e in grid]
+    lengths = [extractable_key_length(params, float(e)) for e in grid]
     monotone = all(a <= b for a, b in zip(lengths, lengths[1:]))
     report(10, big_ok and small_ok and monotone,
            f"rate at n=1e7 is {big.rate:.4f}, n=1e4 gives {small_desc}, "

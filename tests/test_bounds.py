@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -49,6 +48,9 @@ class TestLogProb:
         assert huge.log2_complement == -10.0 ** 4
         assert huge.complement_log10 == pytest.approx(-3010.3, abs=0.1)
 
+    def test_no_complement_without_its_exponent(self):
+        assert LogProb.from_log2(-10.0).complement_log10 is None
+
     def test_log2_add(self):
         assert log2_add(-4.0, -4.0) == pytest.approx(-3.0, abs=1e-15)
         assert log2_add(-1.0, -math.inf) == -1.0
@@ -83,6 +85,13 @@ class TestYuenUpperBound:
             yuen_upper_bound(-0.1, 4)
         with pytest.raises(ValueError):
             yuen_upper_bound(0.5, 0)
+
+    @pytest.mark.parametrize("fn", [yuen_upper_bound,
+                                    markov_individual_bound])
+    @pytest.mark.parametrize("eps_bar", [-0.1, 1.5, math.nan])
+    def test_eps_bar_outside_unit_interval(self, fn, eps_bar):
+        with pytest.raises(ValueError, match=r"eps_bar must be in \[0, 1\]"):
+            fn(eps_bar, 4)
 
     def test_monotone_grid(self):
         eps_grid = np.logspace(-12, 0, 30)
@@ -204,8 +213,8 @@ class TestFiniteKeyParams:
             FiniteKeyParams(n=10, q=0.6, mu=0.5)
         with pytest.raises(ValueError):
             FiniteKeyParams(n=10, q=0.01, p_fail=0.0)
-        with pytest.raises(ValueError):
-            FiniteKeyParams(n=10, q=0.01, eps_bar=1.5)
+        with pytest.raises(TypeError):  # eps_bar is the formula's argument
+            FiniteKeyParams(n=10, q=0.01, eps_bar=0.5)
 
     def test_leak_convention(self):
         from keysec import binary_entropy
@@ -219,31 +228,36 @@ class TestFiniteKeyParams:
 class TestExtractableKeyLength:
     def test_entropy_term_zero(self):
         p = FiniteKeyParams(n=1000, q=0.25, mu=0.25, leak_ec=0.0,
-                            p_fail=1e-10, eps_cor=1e-15, eps_bar=1e-10)
-        assert extractable_key_length(p) == 0
+                            p_fail=1e-10, eps_cor=1e-15)
+        assert extractable_key_length(p, 1e-10) == 0
 
     def test_frozen_high_precision_value(self):
         # value fixed by a 60-digit recomputation of the same formula
         p = FiniteKeyParams(n=10 ** 6, q=0.02, mu=0.005, p_fail=1e-10,
-                            eps_cor=1e-15, eps_bar=1e-10)
-        assert extractable_key_length(p) == 675670
+                            eps_cor=1e-15)
+        assert extractable_key_length(p, 1e-10) == 675670
 
     def test_monotone_in_eps_bar(self):
-        base = dict(n=10 ** 6, q=0.02, mu=0.005, p_fail=1e-10, eps_cor=1e-15)
-        low = extractable_key_length(FiniteKeyParams(eps_bar=1e-12, **base))
-        high = extractable_key_length(FiniteKeyParams(eps_bar=1e-3, **base))
-        assert high >= low
+        p = FiniteKeyParams(n=10 ** 6, q=0.02, mu=0.005, p_fail=1e-10,
+                            eps_cor=1e-15)
+        assert extractable_key_length(p, 1e-3) >= \
+            extractable_key_length(p, 1e-12)
+
+    @pytest.mark.parametrize("eps_bar", [0.0, 1.5, math.nan])
+    def test_eps_bar_range(self, eps_bar):
+        with pytest.raises(ValueError, match="eps_bar must be in"):
+            extractable_key_length(FiniteKeyParams(n=100, q=0.01), eps_bar)
 
     def test_requires_eps_bar(self):
-        with pytest.raises(ValueError, match="eps_bar"):
+        with pytest.raises(TypeError):
             extractable_key_length(FiniteKeyParams(n=100, q=0.01))
 
     def test_monotone_grid_all_knobs(self):
-        base = dict(n=10 ** 5, q=0.03, mu=0.002, p_fail=1e-8, eps_cor=1e-12,
-                    eps_bar=1e-9)
+        base = dict(n=10 ** 5, q=0.03, mu=0.002, p_fail=1e-8, eps_cor=1e-12)
 
-        def length(**override):
-            return extractable_key_length(FiniteKeyParams(**{**base, **override}))
+        def length(eps_bar=1e-9, **override):
+            return extractable_key_length(
+                FiniteKeyParams(**{**base, **override}), eps_bar)
 
         for q1, q2 in [(0.01, 0.05), (0.03, 0.08)]:
             assert length(q=q1) >= length(q=q2)
@@ -268,6 +282,11 @@ class TestRateSolver:
         with pytest.raises(NoSolutionError):
             epsilon_for_security_rate(1.0, default_rate_params(100))
 
+    def test_no_key_at_any_eps_bar(self):
+        # L(1) = 0 at n = 100: no ratio to report, so no "vanishes" figure
+        with pytest.raises(NoSolutionError, match="no positive key length"):
+            epsilon_for_security_rate(1.0, default_rate_params(100))
+
     def test_target_validated(self):
         with pytest.raises(ValueError):
             epsilon_for_security_rate(0.0, default_rate_params(10 ** 6))
@@ -275,22 +294,17 @@ class TestRateSolver:
     def test_solution_internally_consistent(self):
         params = default_rate_params(10 ** 6)
         solution = epsilon_for_security_rate(1e-12, params)
-        recomputed = extractable_key_length(
-            replace(params, eps_bar=solution.eps_bar))
+        recomputed = extractable_key_length(params, solution.eps_bar)
         assert recomputed == solution.l
         assert solution.rate == solution.l / params.n
 
 
-def _key_len(params, eps_bar):
-    return extractable_key_length(replace(params, eps_bar=eps_bar))
-
-
 def _least_root_by_scan(s_target, params):
     # every l from 1 up to L(1), stopping where eps_bar = s l would pass 1
-    for l in range(1, _key_len(params, 1.0) + 1):
+    for l in range(1, extractable_key_length(params, 1.0) + 1):
         if s_target * l > 1.0:
             return None
-        if _key_len(params, s_target * l) == l:
+        if extractable_key_length(params, s_target * l) == l:
             return l
     return None
 
@@ -337,11 +351,11 @@ class TestLeastRoot:
         solution = epsilon_for_security_rate(1e-300, params)
         assert solution.l == 102599
         assert solution.eps_bar == 1e-300 * 102599
-        assert _key_len(params, solution.eps_bar) == solution.l
+        assert extractable_key_length(params, solution.eps_bar) == solution.l
         # least: 1 and 2 are no roots, and L(s l) > l just below the answer
-        assert _key_len(params, 1e-300) != 1
-        assert _key_len(params, 2e-300) != 2
-        assert _key_len(params, 1e-300 * 102598) > 102598
+        assert extractable_key_length(params, 1e-300) != 1
+        assert extractable_key_length(params, 2e-300) != 2
+        assert extractable_key_length(params, 1e-300 * 102598) > 102598
 
     @pytest.mark.parametrize("s_target", [5e-324, 1e-320])
     def test_subnormal_target(self, s_target):
@@ -414,14 +428,15 @@ class TestKeyLengthFloorMpmath:
         (10 ** 7, [102599, 104498, 104499, 104500, 104559])])
     def test_step_starts(self, n, ks):
         params = default_rate_params(n)
-        assert extractable_key_length(replace(params, eps_bar=1.0)) == max(ks)
+        assert extractable_key_length(params, 1.0) == max(ks)
         for k in ks:
             for shift in (-0.5, -1e-10, 0.0, 1e-10):
                 eps_bar = self.step_start(params, k, shift)
                 exact = self.unfloored(params, eps_bar)
                 if shift != -0.5:  # the probe sits where the floor is tight
                     assert abs(exact - k) < 1e-9, (k, shift)
-                assert self.agrees(_key_len(params, eps_bar), exact), \
+                assert self.agrees(extractable_key_length(params, eps_bar),
+                                   exact), \
                     (k, shift)
 
     @pytest.mark.parametrize("n, s_target", [

@@ -445,6 +445,9 @@ class TestFlagBoundaries:
          "key length must be >= 1"),
         (("rate", "--s-target", "1e-14", "--n", "1" + "0" * 400),
          "block length n"),
+        (("attack", "--mode", "ciphertext-only", "--ciphertext", "10"),
+         "ciphertext-only mode needs"),
+        (("attack", "--mode", "hash", "--key", "101"), "hash mode needs"),
     ])
     def test_validation_exit_code(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)

@@ -52,6 +52,19 @@ class TestCouplingType:
         with pytest.raises(ValueError, match="x_bits == y_bits"):
             Coupling(joint, Distribution.uniform(1), Distribution.uniform(2))
 
+    @pytest.mark.parametrize("bits_p, bits_q", [(2, 1), (1, 2)])
+    def test_declared_bits_match_the_joint(self, bits_p, bits_q):
+        joint = JointDistribution(1, 1, np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match="declared marginals"):
+            Coupling(joint, Distribution.uniform(bits_p),
+                     Distribution.uniform(bits_q))
+
+    def test_column_marginal_enforced(self):
+        joint = JointDistribution(1, 1, [[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="column marginal"):
+            Coupling(joint, Distribution.uniform(1),
+                     Distribution(1, [0.9, 0.1]))
+
 
 class TestMismatchProbability:
     def test_identity_coupling_is_zero(self):
@@ -162,6 +175,20 @@ class TestMinMismatchOracle:
     def test_scale_error(self):
         p = random_distribution(np.random.default_rng(0), 3)
         with pytest.raises(ValueError, match="support"):
+            min_mismatch_oracle(p, p)
+
+    def test_spaces_must_agree(self):
+        with pytest.raises(ValueError, match="outcome spaces differ"):
+            min_mismatch_oracle(Distribution(1, [0.5, 0.5]),
+                                Distribution(2, [0.5, 0.5, 0.0, 0.0]))
+
+    def test_solver_failure_raised(self, monkeypatch):
+        class Failed:
+            success, message = False, "infeasible"
+        monkeypatch.setattr(coupling, "linprog", lambda *a, **k: Failed)
+        p = Distribution(1, [0.5, 0.5])
+        with pytest.raises(RuntimeError,
+                           match="coupling LP failed: infeasible"):
             min_mismatch_oracle(p, p)
 
     def test_triple_agreement(self):

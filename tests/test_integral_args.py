@@ -91,6 +91,9 @@ ENTRY_POINTS = [
 ]
 
 REJECTED = [2.5, math.nan, "2", -1]
+# both sides of the two 2^a x 2^b matrix constructors
+MATRIX_SIDES = [e for e in ENTRY_POINTS if e[0].startswith(
+    ("JointDistribution.", "ConditionalChannel."))]
 
 
 @pytest.mark.parametrize("call, accepted, needle",
@@ -191,6 +194,16 @@ class TestUpperEnds:
         report = contradiction_report(spike)
         assert (report.delta, report.maximal_mismatch,
                 report.independent_failure) == (0.5, 0.5, 1.0)
+
+    @pytest.mark.parametrize("call, needle",
+                             [(e[1], e[3]) for e in MATRIX_SIDES],
+                             ids=[e[0] for e in MATRIX_SIDES])
+    @pytest.mark.parametrize("bits", [21, 20000])
+    def test_matrix_sides_capped_at_20_bits(self, call, needle, bits):
+        # refused before 1 << bits is built or printed in a shape message
+        with pytest.raises(ValueError, match=(
+                f"^{needle} must be >= 0 and <= 20, got {bits}$")):
+            call(bits)
 
     def test_out_len_beyond_key(self):
         with pytest.raises(ValueError, match="out_len must be >= 0 and <= 2"):

@@ -15,6 +15,13 @@ def test_all_lists_each_public_name_once():
     assert set(keysec.__all__) == bound
 
 
+def test_version_matches_the_project_metadata():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                         re.MULTILINE)
+    assert keysec.__version__ == declared.group(1)
+
+
 def test_only_probdist_reads_a_laws_storage():
     # README design notes: only probdist reads how a spike law is laid out
     layout = re.compile(r"\._(spike|dense)\b")

@@ -89,6 +89,42 @@ class TestDistributionConstruction:
         assert d.masses.tolist() == [0.5, 0.5]
         assert not d.masses.flags.writeable
 
+    def test_dense_law_has_no_spike_params(self):
+        with pytest.raises(ValueError, match="not in spike form"):
+            Distribution(1, [0.5, 0.5]).spike_params
+
+    def test_dense_law_expands_to_itself(self):
+        d = Distribution(1, [0.25, 0.75])
+        assert d.expand_dense() is d
+
+    def test_spike_above_dense_cap_not_expanded(self):
+        with pytest.raises(ValueError,
+                           match="21-bit space cannot be materialized"):
+            Distribution.spike(21, 0.1, 0).expand_dense()
+
+    def test_spike_expansion_read_only(self):
+        masses = Distribution.spike(4, 0.1, 3).expand_dense().masses
+        assert not masses.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masses[0] = 1.0
+
+    @pytest.mark.parametrize("law, text", [
+        (Distribution.spike(4, 0.1, 3), "Distribution.spike(4, 0.1, 3)"),
+        (Distribution(1, [0.5, 0.5]), "Distribution(1, <2 masses>)")],
+        ids=["spike", "dense"])
+    def test_repr(self, law, text):
+        assert repr(law) == text
+
+
+@pytest.mark.parametrize("value", [
+    Distribution(1, [0.5, 0.5]), Distribution.uniform(3),
+    JointDistribution(1, 1, np.full((2, 2), 0.25)),
+    ConditionalChannel.binary_symmetric(0.1)],
+    ids=["dense", "spike", "joint", "channel"])
+def test_no_attributes_beyond_slots(value):
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
 
 class TestSpikeDenseAgreement:
     def test_lookup_bitwise_identical(self):
@@ -387,6 +423,11 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.01)
 
+    @pytest.mark.parametrize("q", [-0.01, 1.01, math.nan])
+    def test_domain_error_names_the_range(self, q):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\], got"):
+            binary_entropy(q)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_range_and_symmetry(self, q):
         h = binary_entropy(q)
@@ -425,6 +466,11 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution(1, 1, [[0.7, 0.4], [-0.1, 0.0]])
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"expected shape \(2, 2\), got \(2, 4\)"):
+            JointDistribution(1, 1, np.full((2, 4), 0.125))
+
     def test_copies_caller_array(self):
         a = np.full((2, 2), 0.25)
         j = JointDistribution(1, 1, a)
@@ -455,6 +501,16 @@ class TestConditionalChannel:
         assert w.matrix[0, 1] == pytest.approx(0.1)
         out = Distribution(1, np.array([1.0, 0.0]) @ w.matrix)
         assert out.masses == pytest.approx([0.9, 0.1])
+
+    @pytest.mark.parametrize("flip", [-0.1, 1.5, math.nan])
+    def test_binary_symmetric_flip_range(self, flip):
+        with pytest.raises(ValueError, match="flip probability must be in"):
+            ConditionalChannel.binary_symmetric(flip)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"expected shape \(2, 2\), got \(2, 4\)"):
+            ConditionalChannel(1, 1, np.full((2, 4), 0.25))
 
     def test_joint_with_input(self):
         w = ConditionalChannel.binary_symmetric(0.25)

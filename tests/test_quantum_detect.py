@@ -117,6 +117,21 @@ class TestDensityMatrix:
             with pytest.raises(ValueError, match="non-finite"):
                 DensityMatrix.pure(vector)
 
+    @pytest.mark.parametrize("entries", [[[1.0, 0.0, 0.0]], [1.0]])
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ValueError, match="density matrix must be square"):
+            DensityMatrix(entries)
+
+    def test_stores_the_exact_hermitian_part(self):
+        m = np.array([[0.6, 0.2 + 1e-12], [0.2, 0.4]], dtype=complex)
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.mat, 0.5 * (m + m.conj().T))
+        assert not rho.mat.flags.writeable
+
+    def test_bloch_norm_checked(self):
+        with pytest.raises(ValueError, match="Bloch vector must have norm"):
+            DensityMatrix.from_bloch(1.0, 1.0, 0.0)
+
     def test_bloch_construction(self):
         rho = DensityMatrix.from_bloch(0.0, 0.0, 1.0)
         assert rho.mat[0, 0].real == pytest.approx(1.0)
@@ -143,6 +158,15 @@ class TestPovm:
         with pytest.raises(ValueError, match="capped"):
             Povm([np.eye(17)])
 
+    def test_elements_share_one_dimension(self):
+        with pytest.raises(ValueError, match="share one dimension"):
+            Povm([np.eye(2), np.eye(3)])
+
+    def test_outcome_probabilities_check_the_state_dimension(self):
+        with pytest.raises(ValueError, match="state dim 3 vs POVM dim 2"):
+            Povm.computational_basis(2).outcome_probabilities(
+                DensityMatrix.maximally_mixed(3))
+
     def test_rejects_empty_element(self):
         with pytest.raises(ValueError, match="element dimension must be >= 1"):
             Povm([np.zeros((0, 0))])
@@ -154,6 +178,23 @@ class TestPovm:
         probs = povm.outcome_probabilities(rho)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(probs >= -1e-10)
+
+
+@pytest.mark.parametrize("value", [
+    DensityMatrix.maximally_mixed(2), Povm.computational_basis(2)],
+    ids=["state", "povm"])
+def test_no_attributes_beyond_slots(value):
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("fn", [
+    lambda r, s: helstrom_min_error(r, s, 0.5),
+    lambda r, s: measured_distance(r, s, Povm.computational_basis(2)),
+    overlap], ids=["helstrom_min_error", "measured_distance", "overlap"])
+def test_dimensions_must_agree(fn):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        fn(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
 
 
 class TestTraceDistance:
@@ -323,6 +364,12 @@ class TestFileFormat:
     def test_malformed_matrix(self):
         from keysec.quantum_detect import loads_matrix
         with pytest.raises(ValueError):
+            loads_matrix('{"dim": 2, "entries": [[1, 0]]}')
+
+    def test_matrix_entry_count(self):
+        from keysec.quantum_detect import loads_matrix
+        with pytest.raises(ValueError,
+                           match="expected 4 complex pairs, got 1"):
             loads_matrix('{"dim": 2, "entries": [[1, 0]]}')
 
     @pytest.mark.parametrize("entries", ["5", '"0110"', "{}", "null"])

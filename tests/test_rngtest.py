@@ -48,6 +48,10 @@ def scalar_splitmix64(seed, count):
 
 
 class TestSplitMix64:
+    def test_weyl_table_read_only(self):
+        # every chunk adds its base to this shared table
+        assert not rngtest._WEYL.flags.writeable
+
     def test_published_reference_outputs(self):
         assert [int(v) for v in splitmix64(0, 3)] == SPLITMIX_SEED0
 
@@ -151,6 +155,23 @@ class TestBlockDistribution:
     def test_block_len_cap(self):
         with pytest.raises(ValueError):
             block_distribution(BernoulliSource(0.0), 17)
+
+
+class TestSourceModels:
+    @pytest.mark.parametrize("bias", [-0.6, 0.6, np.nan])
+    def test_bias_range(self, bias):
+        with pytest.raises(ValueError, match=r"bias must be in \[-0.5, 0.5\]"):
+            BernoulliSource(bias)
+
+    def test_markov_transition_is_one_bit(self):
+        with pytest.raises(ValueError, match="transition must be a 1-bit"):
+            MarkovSource(transition=ConditionalChannel(2, 2, np.eye(4)),
+                         initial=Distribution.uniform(1))
+
+    def test_markov_initial_law_is_one_bit(self):
+        with pytest.raises(ValueError, match="initial law must be over 1 bit"):
+            MarkovSource(transition=ConditionalChannel.binary_symmetric(0.1),
+                         initial=Distribution.uniform(2))
 
 
 class TestModelDistance:
@@ -387,6 +408,10 @@ class TestSampleSetType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SampleSet(1, np.array([]))
+
+    def test_empty_named_as_such(self):
+        with pytest.raises(ValueError, match="sample set must be nonempty"):
+            SampleSet(1, np.array([], dtype=np.int64))
 
     def test_value_range_checked(self):
         with pytest.raises(ValueError):
