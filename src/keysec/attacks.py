@@ -125,21 +125,19 @@ def toeplitz_hash(k: BitString, seed: BitString, out_len: int) -> BitString:
     if len(seed) != lk + out_len - 1:
         raise ValueError(
             f"seed needs {lk + out_len - 1} bits, got {len(seed)}")
-    if out_len == 0:
-        return BitString(())
-    # out[i] = sum_j k[j] seed[i + lk - 1 - j] mod 2 is a slice of the
-    # full convolution of seed with k.
-    conv = np.convolve(np.array(seed.bits, dtype=np.int64),
-                       np.array(k.bits, dtype=np.int64))
-    return BitString(tuple(int(v) & 1 for v in conv[lk - 1:lk - 1 + out_len]))
+    # out[i] = parity over j of k[j] seed[i + lk - 1 - j].  Put k[j] at
+    # bit j of the key; then the output bit at place p = out_len - 1 - i
+    # is the parity of the key AND the seed's index shifted right by p.
+    key = int(str(k)[::-1], 2)
+    window = seed.to_index()
+    return BitString(sum(((window >> p) & key).bit_count() % 2 << p
+                         for p in range(out_len)), out_len)
 
 
 def identity_seed(k_bits: int) -> BitString:
     """Seed making the Toeplitz matrix the identity (out_len = k_bits)."""
     k_bits = _integral(k_bits, "k_bits", 1, (MAX_MATERIALIZED_LEN + 1) // 2)
-    bits = [0] * (2 * k_bits - 1)
-    bits[k_bits - 1] = 1
-    return BitString(tuple(bits))
+    return BitString(1 << (k_bits - 1), 2 * k_bits - 1)
 
 
 @dataclass(frozen=True)

@@ -27,64 +27,60 @@ def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class BitString:
-    """Immutable sequence of 0/1 values.
+    """Immutable fixed-length bitstring, stored as its integer index.
 
-    The integer index of a bitstring reads the bits most-significant
-    first, so BitString.from_str("110").to_index() == 6.
+    The index reads the bits most-significant first, so
+    BitString.from_str("110") == BitString(6, 3).
     """
 
-    bits: tuple[int, ...]
+    value: int
+    length: int
 
     def __post_init__(self):
-        if len(self.bits) > MAX_MATERIALIZED_LEN:
-            raise ValueError(
-                f"bitstring length {len(self.bits)} exceeds materialized cap "
-                f"{MAX_MATERIALIZED_LEN}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+        length = _integral(self.length, "length", 0, MAX_MATERIALIZED_LEN)
+        value = _integral(self.value, "index", 0, (1 << length) - 1)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def from_str(cls, text: str) -> BitString:
-        if not all(ch in "01" for ch in text):
+        length = _integral(len(text), "length", 0, MAX_MATERIALIZED_LEN)
+        if text.strip("01"):
             raise ValueError(f"not a bitstring literal: {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(int(text or "0", 2), length)
 
     @classmethod
     def from_index(cls, value: int, length: int) -> BitString:
-        length = _integral(length, "length", 0, MAX_MATERIALIZED_LEN)
-        value = _integral(value, "index", 0, (1 << length) - 1)
-        return cls(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
+        return cls(value, length)
 
     @classmethod
     def zeros(cls, length: int) -> BitString:
-        return cls((0,) * _integral(length, "length", 0, MAX_MATERIALIZED_LEN))
+        return cls(0, length)
 
     @classmethod
     def ones(cls, length: int) -> BitString:
-        return cls((1,) * _integral(length, "length", 0, MAX_MATERIALIZED_LEN))
+        length = _integral(length, "length", 0, MAX_MATERIALIZED_LEN)
+        return cls((1 << length) - 1, length)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, str(self)))
 
     def to_index(self) -> int:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return self.value
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return BitString(self.bits[i])
-        return self.bits[i]
+        text = str(self)[i]
+        return BitString.from_str(text) if isinstance(i, slice) else int(text)
 
     def __xor__(self, other: BitString) -> BitString:
         if len(self) != len(other):
             raise ValueError(
                 f"length mismatch: {len(self)} vs {len(other)}")
-        return BitString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return BitString(self.value ^ other.value, self.length)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
+        return format(self.value | 1 << self.length, "b")[1:]

@@ -4,7 +4,12 @@ import tracemalloc
 
 import numpy as np
 
-from keysec import Distribution, JointDistribution
+from keysec import BitString, Distribution, JointDistribution
+
+
+def bitstring(bits):
+    """The BitString of a sequence of 0/1 ints, read most-significant first."""
+    return BitString.from_str("".join(str(int(b)) for b in bits))
 
 
 def random_distribution(rng, bits, zero_outcomes=0):

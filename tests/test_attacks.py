@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import product_joint, random_distribution, random_joint
+from helpers import (bitstring, product_joint, random_distribution,
+                     random_joint)
 from keysec import (BitString, Distribution, JointDistribution,
                     ciphertext_only_attack, conditional_guessing_probability,
                     guessing_probability, identity_seed, kpa_next_bits,
@@ -26,7 +27,7 @@ def toeplitz_matrix_oracle(k_bits, seed, out_len):
 
 def hash_oracle(k, seed, out_len):
     t = toeplitz_matrix_oracle(len(k), list(seed), out_len)
-    return BitString(tuple(int(v) for v in (t @ np.array(k.bits)) % 2))
+    return bitstring((t @ np.array(k.bits)) % 2)
 
 
 class TestOtpEncrypt:
@@ -48,7 +49,7 @@ class TestOtpEncrypt:
 
     @given(bit_list(6), bit_list(6))
     def test_self_inverse(self, xs, ks):
-        x, k = BitString(tuple(xs)), BitString(tuple(ks))
+        x, k = bitstring(xs), bitstring(ks)
         assert (x ^ k) ^ k == x
 
 
@@ -239,7 +240,7 @@ class TestKpaNextBits:
 class TestToeplitzHash:
     def test_empty_output(self):
         out = toeplitz_hash(BitString.from_str("101"), BitString.from_str("01"), 0)
-        assert len(out) == 0
+        assert out == BitString.from_str("")
 
     def test_zero_key(self):
         out = toeplitz_hash(BitString.zeros(5), BitString.from_str("11011011"), 4)
@@ -251,15 +252,36 @@ class TestToeplitzHash:
         assert toeplitz_hash(k, seed, 2) == hash_oracle(k, seed, 2)
         assert str(toeplitz_hash(k, seed, 2)) == "11"
 
-    def test_random_cases_against_matrix_oracle(self):
-        rng = np.random.default_rng(33)
-        for _ in range(200):
-            lk = int(rng.integers(1, 12))
+    @staticmethod
+    def check_random_cases(rng_seed, cases, key_lengths):
+        rng = np.random.default_rng(rng_seed)
+        for _ in range(cases):
+            lk = int(rng.integers(*key_lengths))
             out_len = int(rng.integers(0, lk + 1))
-            k = BitString(tuple(int(b) for b in rng.integers(0, 2, lk)))
-            seed = BitString(tuple(int(b) for b in
-                                   rng.integers(0, 2, lk + out_len - 1)))
+            k = bitstring(rng.integers(0, 2, lk))
+            seed = bitstring(rng.integers(0, 2, lk + out_len - 1))
             assert toeplitz_hash(k, seed, out_len) == hash_oracle(k, seed, out_len)
+
+    def test_random_cases_against_matrix_oracle(self):
+        self.check_random_cases(33, 200, (1, 12))
+
+    def test_keys_past_one_machine_word_against_matrix_oracle(self):
+        self.check_random_cases(34, 100, (60, 201))
+
+    def test_identity_seed_at_ten_thousand_bits(self):
+        rng = np.random.default_rng(35)
+        seed = identity_seed(10**4)
+        for _ in range(3):
+            k = bitstring(rng.integers(0, 2, 10**4))
+            assert toeplitz_hash(k, seed, 10**4) == k
+
+    def test_linearity_at_a_thousand_bits(self):
+        rng = np.random.default_rng(36)
+        for out_len in (1, 500, 1000):
+            a, b = (bitstring(rng.integers(0, 2, 1000)) for _ in range(2))
+            seed = bitstring(rng.integers(0, 2, 1000 + out_len - 1))
+            assert toeplitz_hash(a ^ b, seed, out_len) == \
+                toeplitz_hash(a, seed, out_len) ^ toeplitz_hash(b, seed, out_len)
 
     def test_seed_length_validated(self):
         with pytest.raises(ValueError, match="seed"):
@@ -267,8 +289,8 @@ class TestToeplitzHash:
 
     @given(bit_list(6), bit_list(6), bit_list(9))
     def test_linearity(self, a_bits, b_bits, seed_bits):
-        a, b = BitString(tuple(a_bits)), BitString(tuple(b_bits))
-        seed = BitString(tuple(seed_bits))
+        a, b = bitstring(a_bits), bitstring(b_bits)
+        seed = bitstring(seed_bits)
         left = toeplitz_hash(a ^ b, seed, 4)
         right = toeplitz_hash(a, seed, 4) ^ toeplitz_hash(b, seed, 4)
         assert left == right
@@ -278,10 +300,9 @@ class TestToeplitzHash:
         for _ in range(1000):
             lk = int(rng.integers(1, 10))
             out_len = int(rng.integers(1, lk + 1))
-            a = BitString(tuple(int(v) for v in rng.integers(0, 2, lk)))
-            b = BitString(tuple(int(v) for v in rng.integers(0, 2, lk)))
-            seed = BitString(tuple(int(v) for v in
-                                   rng.integers(0, 2, lk + out_len - 1)))
+            a = bitstring(rng.integers(0, 2, lk))
+            b = bitstring(rng.integers(0, 2, lk))
+            seed = bitstring(rng.integers(0, 2, lk + out_len - 1))
             assert toeplitz_hash(a ^ b, seed, out_len) == \
                 toeplitz_hash(a, seed, out_len) ^ toeplitz_hash(b, seed, out_len)
 
@@ -370,4 +391,4 @@ class TestAttackReportInvariants:
 class TestToeplitzEmptyKey:
     def test_empty_key_message(self):
         with pytest.raises(ValueError, match="key must be nonempty"):
-            toeplitz_hash(BitString(()), BitString(()), 0)
+            toeplitz_hash(BitString.from_str(""), BitString.from_str(""), 0)

@@ -54,6 +54,8 @@ ENTRY_POINTS = [
     ("BitString.from_index.value",
      lambda v: BitString.from_index(v, 2), 2.0, "index"),
     ("BitString.zeros.length", BitString.zeros, 2.0, "length"),
+    ("BitString.length", lambda v: BitString(0, v), 2.0, "length"),
+    ("BitString.value", lambda v: BitString(v, 2), 2.0, "index"),
     ("BitString.ones.length", BitString.ones, 2.0, "length"),
     ("splitmix64.seed", lambda v: splitmix64(v, 3), 2.0, "seed"),
     ("splitmix64.count", lambda v: splitmix64(1, v), 2.0, "count"),
@@ -137,15 +139,19 @@ class TestIntegralPolicy:
 
 
 class TestUpperEnds:
-    @pytest.mark.parametrize("call", [BitString.zeros, BitString.ones,
-                                      lambda v: BitString.from_index(0, v)])
+    @pytest.mark.parametrize("call", [
+        BitString.zeros, BitString.ones, lambda v: BitString.from_index(0, v),
+        pytest.param(lambda v: BitString(0, v), id="BitString"),
+        pytest.param(lambda v: BitString.from_str("0" * v), id="from_str")])
     def test_bitstring_length_capped_before_allocating(self, call):
         with pytest.raises(ValueError, match="length must be >= 0 and <="):
             call(MAX_MATERIALIZED_LEN + 1)
 
     def test_index_beyond_length(self):
-        with pytest.raises(ValueError, match="index must be >= 0 and <= 3"):
-            BitString.from_index(4, 2)
+        for call in (BitString.from_index, BitString):
+            with pytest.raises(ValueError,
+                               match="index must be >= 0 and <= 3"):
+                call(4, 2)
 
     @pytest.mark.parametrize("dim", [0, 17])
     def test_dim_outside_one_to_cap(self, dim):
