@@ -20,8 +20,25 @@ def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     if n is None or n != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < lo or (hi is not None and n > hi):
-        upper = "" if hi is None else f" and <= {hi}"
-        raise ValueError(f"{name} must be >= {lo}{upper}, got {n}")
+        upper = "" if hi is None else f" and <= {_shown(hi)}"
+        raise ValueError(f"{name} must be >= {lo}{upper}, got {_shown(n)}")
+    return n
+
+
+def _shown(n: int) -> str:
+    # str() refuses integers past sys.get_int_max_str_digits() digits
+    try:
+        return str(n)
+    except ValueError:
+        sign = "a negative" if n < 0 else "an"
+        return f"{sign} integer of {n.bit_length()} bits"
+
+
+def _index(value, name: str, bits: int) -> int:
+    """The one index check: ``value`` as an int in [0, 2^bits)."""
+    n = _integral(value, name)
+    if n.bit_length() > bits:  # only now is the cap built: no larger than n
+        _integral(n, name, 0, (1 << bits) - 1)
     return n
 
 
@@ -38,7 +55,7 @@ class BitString:
 
     def __post_init__(self):
         length = _integral(self.length, "length", 0, MAX_MATERIALIZED_LEN)
-        value = _integral(self.value, "index", 0, (1 << length) - 1)
+        value = _index(self.value, "index", length)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "value", value)
 
@@ -71,6 +88,9 @@ class BitString:
 
     def __len__(self) -> int:
         return self.length
+
+    def __iter__(self):
+        return iter(self.bits)
 
     def __getitem__(self, i):
         text = str(self)[i]

@@ -275,5 +275,4 @@ def epsilon_for_security_rate(s_target: float,
 
 def default_rate_params(n: int) -> FiniteKeyParams:
     """The documented parameter set for the rate trade-off, at block n."""
-    return FiniteKeyParams(n=n, q=DEFAULT_QBER, mu=DEFAULT_MU,
-                           p_fail=DEFAULT_P_FAIL, eps_cor=DEFAULT_EPS_COR)
+    return FiniteKeyParams(n=n, q=DEFAULT_QBER)

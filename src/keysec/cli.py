@@ -51,14 +51,10 @@ def _load(loader, path: str, kind: str):
     try:
         return loader(path)
     except FileNotFoundError:
-        raise CliError(f"{kind} file not found: {path}")
+        raise ValueError(f"{kind} file not found: {path}")
     # OverflowError: an integer too large for a float (a 401-digit mass)
     except (ValueError, OverflowError) as exc:
-        raise CliError(f"malformed {kind} file {path}: {exc}")
-
-
-class CliError(Exception):
-    pass
+        raise ValueError(f"malformed {kind} file {path}: {exc}")
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -66,7 +62,7 @@ class CliError(Exception):
 
 def _cmd_bounds(args) -> dict:
     if not 0.0 <= args.eps_bar <= 1.0:
-        raise CliError(f"--eps-bar must be in [0, 1], got {args.eps_bar}")
+        raise ValueError(f"--eps-bar must be in [0, 1], got {args.eps_bar}")
     doc = {"command": "bounds", "eps_bar": args.eps_bar,
            "key_len": args.key_len}
     doc.update(_prob_fields("yuen_bound",
@@ -115,7 +111,7 @@ def _cmd_coupling(args) -> dict:
         doc.update(_prob_fields("independent_failure", failure))
         return doc
     if args.q is None:
-        raise CliError("coupling needs --q FILE (or --contradiction)")
+        raise ValueError("coupling needs --q FILE (or --contradiction)")
     q = _load(probdist.load_distribution, args.q, "distribution")
     doc = {"command": "coupling", "mode": "pair",
            "p_file": args.p, "q_file": args.q,
@@ -161,8 +157,8 @@ def _cmd_attack(args) -> dict:
     if args.mode == "ciphertext-only":
         if args.ciphertext is None or args.plaintext_dist is None \
                 or args.key_dist is None:
-            raise CliError("ciphertext-only mode needs --ciphertext, "
-                           "--plaintext-dist and --key-dist")
+            raise ValueError("ciphertext-only mode needs --ciphertext, "
+                             "--plaintext-dist and --key-dist")
         c = BitString.from_str(args.ciphertext)
         p_x = _load(probdist.load_distribution, args.plaintext_dist,
                     "distribution")
@@ -176,7 +172,7 @@ def _cmd_attack(args) -> dict:
         return doc
     if args.mode == "kpa":
         if args.key_dist is None or args.known_prefix is None:
-            raise CliError("kpa mode needs --key-dist and --known-prefix")
+            raise ValueError("kpa mode needs --key-dist and --known-prefix")
         p_k = _load(probdist.load_distribution, args.key_dist, "distribution")
         prefix = BitString.from_str(args.known_prefix)
         report = attacks.kpa_next_bits(p_k, prefix)
@@ -187,7 +183,7 @@ def _cmd_attack(args) -> dict:
         return doc
     # hash mode
     if args.key is None or args.seed is None or args.out_len is None:
-        raise CliError("hash mode needs --key, --seed and --out-len")
+        raise ValueError("hash mode needs --key, --seed and --out-len")
     k = BitString.from_str(args.key)
     seed = BitString.from_str(args.seed)
     out = attacks.toeplitz_hash(k, seed, args.out_len)
@@ -363,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except bounds.NoSolutionError as exc:
         print(f"no-solution: {exc}", file=sys.stderr)
         return 3
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -21,7 +21,8 @@ from .probdist import (_BLOCK, ConditionalChannel, Distribution,
 
 ORACLE_SUPPORT_CAP = 6
 MARGINAL_TOLERANCE = 1e-9
-# maximal_coupling's 2^l x 2^l joint is 128 MiB of float64 at 12 bits
+# maximal_coupling's 2^l x 2^l joint is 128 MiB of float64 at 12 bits, and
+# JointDistribution keeps its own copy, so the call peaks near 256 MiB
 COUPLING_BITS_CAP = 12
 
 
@@ -97,9 +98,10 @@ def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
     excess_p = a - overlap
     excess_q = b - overlap
     delta = float(excess_p.sum())
-    joint = np.diag(overlap)
+    joint = np.outer(excess_p, excess_q)  # all zero when delta is
     if delta > 0.0:
-        joint = joint + np.outer(excess_p, excess_q) / delta
+        joint /= delta
+    joint.flat[::len(a) + 1] += overlap
     return Coupling(JointDistribution(p.outcome_bits, q.outcome_bits, joint),
                     p, q)
 

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .bits import BitString, _integral
+from .bits import BitString, _index, _integral
 from .bounds import MAX_EXACT_LEN
 
 DENSE_BITS_CAP = 20
@@ -34,11 +34,7 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
             raise ValueError(
                 f"outcome has {len(outcome)} bits, expected {outcome_bits}")
         return outcome.to_index()
-    idx = _integral(outcome, "outcome index")
-    if idx.bit_length() > outcome_bits:
-        # only now is 2^outcome_bits below idx, so the cap is cheap to build
-        _integral(idx, "outcome index", 0, (1 << outcome_bits) - 1)
-    return idx
+    return _index(outcome, "outcome index", outcome_bits)
 
 
 def _validated_masses(arr: np.ndarray) -> np.ndarray:
@@ -250,18 +246,25 @@ def _blockwise_sum(n: int, block_sum) -> float:
     return parts[0]
 
 
-def _total_variation(a, b) -> float:
-    # (1/2) sum |a - b| over two arrays of masses of one shape
+def _difference_sum(a, b, term) -> float:
+    # np.sum of term(a - b) over two arrays of masses of one shape, one block
+    # at a time when 1-D of 2^k; term(d, out=d) maps differences in place
     n = np.size(a)
     if np.ndim(a) != 1 or n & (n - 1):
-        return float(0.5 * np.abs(a - b).sum())
+        d = a - b
+        return float(term(d, out=d).sum())
     buf = np.empty(min(n, _BLOCK))
 
     def block_sum(lo):
         np.subtract(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf)
-        return np.abs(buf, out=buf).sum()
+        return term(buf, out=buf).sum()
 
-    return float(0.5 * _blockwise_sum(n, block_sum))
+    return float(_blockwise_sum(n, block_sum))
+
+
+def _total_variation(a, b) -> float:
+    # (1/2) sum |a - b|, the one dense distance
+    return 0.5 * _difference_sum(a, b, np.abs)
 
 
 def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
@@ -280,14 +283,8 @@ def _excess(p: Distribution, q: Distribution) -> float:
     """sum_x (p(x) - q(x))^+, the off-diagonal mass of the maximal coupling."""
     if p.is_spike and q.is_spike:
         return _spike_pair_distance(p, q)  # that same sum, in closed form
-    a, b = p.masses, q.masses
-    buf = np.empty(min(a.size, _BLOCK))
-
-    def block_sum(lo):
-        np.subtract(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf)
-        return np.maximum(buf, 0.0, out=buf).sum()
-
-    return float(_blockwise_sum(a.size, block_sum))
+    return _difference_sum(p.masses, q.masses,
+                           lambda d, out: np.maximum(d, 0.0, out=out))
 
 
 def guessing_probability(p: Distribution) -> float:

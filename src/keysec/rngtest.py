@@ -32,8 +32,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # (i+1) * GOLDEN for i < _BLOCK: the Weyl sequence of one chunk, seed 0
 _WEYL = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GOLDEN
 _WEYL.flags.writeable = False
-# flag bit of a guide entry whose bucket holds two or more thresholds
-_CROWDED = 1 << 62
 
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -157,8 +155,8 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     comparison settles the block.  The last threshold is 2^53, above
     every bucket, so guide[b] < 2^block_len and T[guide[b]] exists.
     Buckets holding two or more thresholds (a skewed law crowds them)
-    carry the ``_CROWDED`` bit in their guide entry; their outputs at or
-    above T[guide[b]] finish by binary search.  Both find the number of
+    are marked in the boolean mask ``crowded``; their outputs at or above
+    T[guide[b]] finish by binary search.  Both find the number of
     T[j] <= m, so the values do not depend on the lookup.
 
     Blocks are drawn one cache block (``probdist._BLOCK``) at a time
@@ -178,8 +176,8 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
                                   minlength=n_buckets + 1))
     crowded = np.diff(edges) > 1
     any_crowded = bool(crowded.any())
-    guide = edges[:n_buckets] | crowded.astype(np.int64) * _CROWDED
-    del cdf, lowest, edges, crowded  # the loop keeps thresholds and guide
+    guide = edges[:n_buckets].copy()
+    del cdf, lowest, edges  # the loop keeps thresholds, guide and crowded
     values = np.empty(count, dtype=np.int64)
     width = min(count, _BLOCK)
     bucket = np.empty(width, dtype=np.uint64)
@@ -191,15 +189,13 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
         chunk = values[start:start + n]
         top53 = splitmix64(seed, n, start)
         top53 >>= np.uint64(11)
-        np.take(guide, np.right_shift(top53, np.uint64(shift),
-                                      out=bucket[:n]), out=chunk, mode="clip")
-        if any_crowded:
-            np.greater_equal(chunk, _CROWDED, out=hit[:n])
-            chunk &= _CROWDED - 1
+        b = np.right_shift(top53, np.uint64(shift), out=bucket[:n])
+        np.take(guide, b, out=chunk, mode="clip")
         np.take(thresholds, chunk, out=split[:n], mode="clip")
         chunk += np.greater_equal(top53, split[:n], out=passed[:n])
         if any_crowded:
             # below its split an output's block is guide[b], crowded or not
+            np.take(crowded, b, out=hit[:n], mode="clip")
             idx = np.flatnonzero(np.logical_and(hit[:n], passed[:n],
                                                 out=hit[:n]))
             chunk[idx] = np.searchsorted(thresholds, top53[idx],

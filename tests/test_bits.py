@@ -28,6 +28,12 @@ def test_bits_are_zero_or_one(bits):
         BitString(*bits)
 
 
+def test_negative_index_message():
+    # the lower end alone, as for an outcome index
+    with pytest.raises(ValueError, match=r"^index must be >= 0, got -1$"):
+        BitString(-1, 3)
+
+
 @pytest.mark.parametrize("text", ["012", "0b1", "+1", "1 0", "1_0", " 1"])
 def test_from_str_takes_only_literals(text):
     with pytest.raises(ValueError, match="not a bitstring literal"):
@@ -39,6 +45,17 @@ def test_integer_and_slice_indexing():
     assert [b[i] for i in range(4)] == [1, 1, 0, 1]
     assert b[-1] == 1
     assert b[1:3] == BitString.from_str("10")
+
+
+def test_iteration_formats_once(monkeypatch):
+    # through __getitem__ each bit would format the whole string again
+    calls = []
+    to_str = BitString.__str__
+    monkeypatch.setattr(BitString, "__str__",
+                        lambda b: calls.append(1) or to_str(b))
+    b = BitString.ones(1 << 10)
+    assert list(b) == [1] * (1 << 10)
+    assert len(calls) == 1
 
 
 def test_stores_value_and_length():

@@ -148,6 +148,14 @@ class TestMaximalCoupling:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("bits", [7, 10])
+    def test_peak_is_two_joints(self, bits):
+        # the joint and JointDistribution's copy of it: 17 MiB at 10 bits
+        rng = np.random.default_rng(bits)
+        p, q = random_distribution(rng, bits), random_distribution(rng, bits)
+        _, peak = traced_peak(lambda: maximal_coupling(p, q))
+        assert peak <= 2.125 * 8 * 4 ** bits
+
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(coupling, "COUPLING_BITS_CAP", 2)
         p, q = Distribution.uniform(2), Distribution(2, [0.4, 0.3, 0.2, 0.1])

@@ -133,6 +133,23 @@ class TestIntegralPolicy:
         with pytest.raises(ValueError, match=r"^x must be >= 0, got -1$"):
             _integral(-1, "x")
 
+    @pytest.mark.parametrize("call, needle", [
+        (lambda: Distribution.spike(15000, 0.1, 1 << 15000),
+         "outcome index must be >= 0 and <= an integer of 15000 bits, "
+         "got an integer of 15001 bits"),
+        (lambda: BitString(0, 10**5000),
+         f"length must be >= 0 and <= {MAX_MATERIALIZED_LEN}, "
+         "got an integer of 16610 bits"),
+        (lambda: _integral(2**20000, "n", 0, 10),
+         "n must be >= 0 and <= 10, got an integer of 20001 bits"),
+        (lambda: _integral(-2**20000, "n"),
+         "n must be >= 0, got a negative integer of 20001 bits")],
+        ids=["outcome index", "length", "n", "negative n"])
+    def test_range_message_past_the_digit_limit(self, call, needle):
+        # str() refuses integers of more than 4300 digits by default
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            call()
+
     def test_ends_are_inclusive(self):
         assert _integral(1, "x", 1, 3) == 1
         assert _integral(3, "x", 1, 3) == 3
