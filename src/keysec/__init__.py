@@ -6,6 +6,8 @@ and a seedable RNG-uniformity experiment, with a CLI tying them
 together.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bits import BitString
 from .bounds import (EfficiencyReport, FiniteKeyParams, LeakageProfile,
                      LogProb, NoSolutionError, RateSolution, binary_entropy,
@@ -35,25 +37,7 @@ from .rngtest import (BernoulliSource, MarkovSource, SampleSet, SourceModel,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackReport", "BernoulliSource", "BitString", "ConditionalChannel",
-    "ContradictionReport", "CopyChannelGap", "Coupling", "DensityMatrix",
-    "Distribution", "EfficiencyReport", "FiniteKeyParams",
-    "JointDistribution", "LeakageProfile", "LogProb", "MarkovSource",
-    "NoSolutionError", "PaReport", "Povm", "RateSolution", "SampleSet",
-    "SourceModel", "UniformityReport", "binary_entropy",
-    "block_distribution", "ciphertext_only_attack",
-    "conditional_guessing_probability", "contradiction_report",
-    "copy_vs_channel_gap", "default_rate_params", "empirical_distance",
-    "epsilon_for_security_rate", "extractable_key_length",
-    "guessing_probability", "helstrom_min_error", "identity_seed",
-    "independent_coupling_failure", "kpa_next_bits", "leakage_profile",
-    "load_distribution", "load_matrix", "markov_individual_bound",
-    "maximal_coupling", "maximal_mismatch", "measured_distance",
-    "min_mismatch_oracle", "mismatch_probability",
-    "model_distance_to_uniform", "overlap", "pa_effect_on_guessing",
-    "pipeline_efficiency", "required_epsilon", "sample_blocks",
-    "save_distribution", "save_matrix", "statistical_distance",
-    "toeplitz_hash", "trace_distance_q", "uniformity_failure_report",
-    "yuen_upper_bound",
-]
+# every public, non-module name bound above (tests/test_package.py)
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

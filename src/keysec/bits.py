@@ -18,20 +18,29 @@ def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if n < lo or (hi is not None and n > hi):
         upper = "" if hi is None else f" and <= {_shown(hi)}"
         raise ValueError(f"{name} must be >= {lo}{upper}, got {_shown(n)}")
     return n
 
 
-def _shown(n: int) -> str:
-    # str() refuses integers past sys.get_int_max_str_digits() digits
+def _within(value, name: str, lo, hi) -> None:
+    """The one range check: lo <= value <= hi (NaN fails), or ValueError."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
+def _shown(value) -> str:
+    # repr() refuses integers past sys.get_int_max_str_digits() digits,
+    # also inside another value such as a Fraction
     try:
-        return str(n)
+        return repr(value)
     except ValueError:
-        sign = "a negative" if n < 0 else "an"
-        return f"{sign} integer of {n.bit_length()} bits"
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
 
 
 def _index(value, name: str, bits: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import _integral
+from .bits import _integral, _within
 
 LOG10_2 = math.log10(2.0)
 # above 2^53 a length is not an exact float: -l rounds, l * x can overflow
@@ -40,8 +40,7 @@ def log2_add(a: float, b: float) -> float:
 
 def binary_entropy(q: float) -> float:
     """h(q) = -q log2 q - (1-q) log2 (1-q), with 0 log 0 = 0."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"binary entropy argument must be in [0, 1], got {q}")
+    _within(q, "binary entropy argument", 0, 1)
     if q == 0.0 or q == 1.0:
         return 0.0
     return float(-q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q))
@@ -97,8 +96,7 @@ def _check_key_len(l: int) -> int:
 
 def _root_plus_uniform(eps_bar: float, l: int, root: float) -> LogProb:
     # eps_bar^(1/root) + 2^(-l) by log-sum-exp in base 2, capped at 1
-    if not 0.0 <= eps_bar <= 1.0:
-        raise ValueError(f"eps_bar must be in [0, 1], got {eps_bar}")
+    _within(eps_bar, "eps_bar", 0, 1)
     l = _check_key_len(l)
     if eps_bar == 0.0:
         return LogProb.from_log2(float(-l))

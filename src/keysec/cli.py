@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import attacks, bounds, coupling, probdist, quantum_detect, rngtest
-from .bits import BitString
+from .bits import BitString, _within
 
 TINY_PRINT_LOG10 = -300.0  # below this, only exponent fields are reported
 
@@ -52,8 +52,7 @@ def _load(loader, path: str, kind: str):
         return loader(path)
     except FileNotFoundError:
         raise ValueError(f"{kind} file not found: {path}")
-    # OverflowError: an integer too large for a float (a 401-digit mass)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed {kind} file {path}: {exc}")
 
 
@@ -61,8 +60,7 @@ def _load(loader, path: str, kind: str):
 
 
 def _cmd_bounds(args) -> dict:
-    if not 0.0 <= args.eps_bar <= 1.0:
-        raise ValueError(f"--eps-bar must be in [0, 1], got {args.eps_bar}")
+    _within(args.eps_bar, "--eps-bar", 0, 1)
     doc = {"command": "bounds", "eps_bar": args.eps_bar,
            "key_len": args.key_len}
     doc.update(_prob_fields("yuen_bound",

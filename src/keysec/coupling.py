@@ -162,7 +162,7 @@ def copy_vs_channel_gap(p: Distribution, w: ConditionalChannel) -> CopyChannelGa
     a = p.masses
     copy_joint = np.diag(a)
     channel_joint = a[:, None] * w.matrix
-    delta_joint = _total_variation(copy_joint, channel_joint)
+    delta_joint = _total_variation(copy_joint.ravel(), channel_joint.ravel())
     mismatch = min(1.0, max(0.0, 1.0 - float((a * np.diag(w.matrix)).sum())))
     return CopyChannelGap(delta_joint=delta_joint, mismatch=mismatch)
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
-from .bits import BitString, _index, _integral
+from .bits import BitString, _index, _integral, _within
 from .bounds import MAX_EXACT_LEN
 
 DENSE_BITS_CAP = 20
@@ -87,8 +88,7 @@ class Distribution:
         while its guessing probability is eps + (1 - eps) 2^-l, so a single
         construction exercises both ends of the bound.
         """
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        _within(epsilon, "epsilon", 0, 1)
         # the cap of every key length: above it -l is not an exact float
         outcome_bits = _integral(outcome_bits, "outcome_bits", 0,
                                  MAX_EXACT_LEN)
@@ -209,8 +209,7 @@ class ConditionalChannel:
 
     @classmethod
     def binary_symmetric(cls, flip: float) -> ConditionalChannel:
-        if not 0.0 <= flip <= 1.0:
-            raise ValueError("flip probability must be in [0, 1]")
+        _within(flip, "flip probability", 0, 1)
         return cls(1, 1, np.array([[1 - flip, flip], [flip, 1 - flip]]))
 
 
@@ -232,32 +231,33 @@ def statistical_distance(p: Distribution, q: Distribution) -> float:
 
 
 def _blockwise_sum(n: int, block_sum) -> float:
-    """``np.sum`` of n values from the sums of their aligned blocks.
+    """The sum of n values from the sums of their aligned blocks.
 
-    ``block_sum(lo)`` returns the sum of values lo .. lo + _BLOCK - 1 (of
-    all n when n <= _BLOCK), and n must be a power of two.  numpy sums a
-    contiguous float64 array pairwise, splitting it in halves, so adding
-    the block sums in the same halving order gives the whole array's
-    ``np.sum`` bit for bit, while no temporary outgrows one block.
+    ``block_sum(lo)`` returns the sum of values lo .. lo + _BLOCK - 1 (or
+    up to n).  numpy sums a contiguous float64 array pairwise, splitting
+    it in halves, so adding the block sums in the same halving order gives
+    the whole array's ``np.sum`` bit for bit when n is a power of two,
+    while no temporary outgrows one block.  Other lengths pad each odd
+    level with 0.0, which is still a pairwise sum.
     """
     parts = np.array([block_sum(lo) for lo in range(0, n, _BLOCK)])
     while parts.size > 1:
+        if parts.size % 2:
+            parts = np.append(parts, 0.0)
         parts = parts[0::2] + parts[1::2]
     return parts[0]
 
 
 def _difference_sum(a, b, term) -> float:
-    # np.sum of term(a - b) over two arrays of masses of one shape, one block
-    # at a time when 1-D of 2^k; term(d, out=d) maps differences in place
-    n = np.size(a)
-    if np.ndim(a) != 1 or n & (n - 1):
-        d = a - b
-        return float(term(d, out=d).sum())
+    # the sum of term(a - b) over two 1-D arrays of masses of one length,
+    # one block at a time; term(d, out=d) maps differences in place
+    n = a.size
     buf = np.empty(min(n, _BLOCK))
 
     def block_sum(lo):
-        np.subtract(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=buf)
-        return term(buf, out=buf).sum()
+        d = buf[:n - lo]  # the last block may be short
+        np.subtract(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], out=d)
+        return term(d, out=d).sum()
 
     return float(_blockwise_sum(n, block_sum))
 
@@ -334,7 +334,10 @@ def _reject_constant(name: str):
 
 def _read_document(text: str, kind: str, *fields: str) -> dict:
     """Parse a JSON object carrying ``fields``; NaN and Infinity are refused."""
-    doc = json.loads(text, parse_constant=_reject_constant)
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
     if not isinstance(doc, dict) or any(f not in doc for f in fields):
         raise ValueError(
             f"{kind} file must be a JSON object with fields {', '.join(fields)}")
@@ -349,7 +352,9 @@ def _json_size(doc: dict, field: str) -> int:
 
 
 def _is_json_number(value) -> bool:
-    return type(value) in (int, float)  # not bool, str, null or array
+    # not bool, str, null or array, nor an integer that no float holds
+    return type(value) is float or (type(value) is int
+                                    and abs(value) <= sys.float_info.max)
 
 
 def _json_numbers(values, what: str) -> list:

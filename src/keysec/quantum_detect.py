@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .bits import _integral
+from .bits import _integral, _within
 from .probdist import (Distribution, _fmt, _json_numbers, _json_size,
                        _read_document, _total_variation)
 
@@ -148,8 +148,7 @@ def helstrom_min_error(rho1: DensityMatrix, rho2: DensityMatrix,
     this is (1/2)(1 - trace_distance_q).
     """
     _check_dims(rho1, rho2)
-    if not 0.0 <= prior1 <= 1.0:
-        raise ValueError(f"prior must be in [0, 1], got {prior1}")
+    _within(prior1, "prior", 0, 1)
     weighted = prior1 * rho1.mat - (1.0 - prior1) * rho2.mat
     return float(0.5 * (1.0 - _trace_norm(weighted)))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import _integral
+from .bits import _integral, _within
 from .bounds import LogProb
 from .probdist import (_BLOCK, ConditionalChannel, Distribution,
                        _total_variation, statistical_distance)
@@ -67,8 +67,7 @@ class BernoulliSource:
     bias: float
 
     def __post_init__(self):
-        if not -0.5 <= self.bias <= 0.5:
-            raise ValueError(f"bias must be in [-0.5, 0.5], got {self.bias}")
+        _within(self.bias, "bias", -0.5, 0.5)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from keysec import cli
 from keysec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEEP = "[" * 5000 + "]" * 5000  # nesting the JSON decoder cannot recurse into
 
 
 def run(capsys, *argv):
@@ -375,6 +376,10 @@ class TestMalformedFields:
         '{"outcome_bits": 2, "spike": {"outcome": " 1", "epsilon": 0.1}}',
         '{"outcome_bits": 2, "spike": {"outcome": "+1", "epsilon": 0.1}}',
         '{"outcome_bits": 2, "spike": {"outcome": "001", "epsilon": 0.1}}',
+        # past the JSON decoder's recursion limit
+        pytest.param("[" * 10**5 + "]" * 10**5, id="1e5-deep-array"),
+        pytest.param('{"outcome_bits": 0, "masses": %s}' % DEEP,
+                     id="5000-deep-masses"),
     ])
     def test_distribution_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.dist"
@@ -401,6 +406,8 @@ class TestMalformedFields:
         '{"dim": 1, "entries": [["1", 0]]}',
         '{"dim": 1, "entries": [[1]]}',
         '{"dim": 1, "entries": [[1, 0, 0]]}',
+        pytest.param('{"dim": 1, "entries": %s}' % DEEP,
+                     id="5000-deep-entries"),
     ])
     def test_matrix_file_types(self, capsys, tmp_path, text):
         path = tmp_path / "bad.mat"
@@ -421,6 +428,22 @@ class TestMalformedFields:
                            str(rho), "--povm", str(povm))
         assert code == 2
         assert "malformed POVM file" in err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 10**5 + "]" * 10**5, id="1e5-deep-array"),
+        pytest.param('{"dim": 1, "elements": %s}' % DEEP,
+                     id="5000-deep-elements"),
+    ])
+    def test_povm_file_nested_too_deeply(self, capsys, tmp_path, text):
+        rho = tmp_path / "rho.mat"
+        save_matrix(DensityMatrix.diagonal(np.array([1.0, 0.0])), rho)
+        povm = tmp_path / "m.povm"
+        povm.write_text(text)
+        code, out, err = run(capsys, "detect", "--rho", str(rho), "--sigma",
+                             str(rho), "--povm", str(povm))
+        assert code == 2
+        assert "malformed POVM file" in err
+        assert out == ""
 
     def test_povm_file_not_found(self, capsys, tmp_path):
         rho = tmp_path / "rho.mat"

@@ -1,6 +1,6 @@
-"""The file readers fail only with ValueError or OverflowError.
+"""The file readers fail only with ValueError.
 
-``keysec`` maps exactly these two to exit 2 (``cli._load``), so any other
+``keysec`` maps exactly this one to exit 2 (``cli._load``), so any other
 exception a malformed document could raise would escape as a traceback.
 Arbitrary JSON values go into every field the readers look at.
 """
@@ -72,7 +72,7 @@ povm_docs = st.one_of(
 def assert_only_value_errors(loader, doc):
     try:
         loader(json.dumps(doc))
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
 
 
@@ -105,4 +105,28 @@ def test_povm_reader(doc):
 ])
 def test_huge_numbers_refused_without_overflow(loader, text):
     with pytest.raises(ValueError):
+        loader(text)
+
+
+DEEP = "[" * 5000 + "]" * 5000  # past the JSON decoder's recursion limit
+READERS = {"distribution": (loads_distribution, "outcome_bits", "masses"),
+           "matrix": (loads_matrix, "dim", "entries"),
+           "POVM": (loads_povm, "dim", "elements")}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_deep_nesting_refused(kind):
+    loader, size, data = READERS[kind]
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loader('{"%s": 1, "%s": %s}' % (size, data, DEEP))
+
+
+@pytest.mark.parametrize("loader, text", [
+    (loads_distribution, '{"outcome_bits": 1, "masses": [%d, 0]}' % HUGE),
+    (loads_distribution, '{"outcome_bits": 0, "masses": [%d]}' % 2 ** 1024),
+    (loads_matrix, '{"dim": 1, "entries": [[1, %d]]}' % -HUGE),
+    (loads_povm, '{"dim": 1, "elements": [[[%d, 0]]]}' % HUGE),
+], ids=["masses", "masses-just-past", "matrix", "POVM"])
+def test_integers_past_the_float_range_refused(loader, text):
+    with pytest.raises(ValueError, match="JSON numbers"):
         loader(text)

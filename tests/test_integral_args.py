@@ -6,6 +6,7 @@ naming the argument.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ class TestIntegralPolicy:
         # str() refuses integers of more than 4300 digits by default
         with pytest.raises(ValueError, match=f"^{needle}$"):
             call()
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: _integral(v, "n"), "n"),
+        (lambda v: Distribution.spike(4, 0.1, v), "outcome index")],
+        ids=["n", "outcome index"])
+    def test_non_integer_message_past_the_digit_limit(self, call, name):
+        # repr() of this Fraction refuses its 5000-digit numerator
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, "
+                           "got a Fraction too long to print$"):
+            call(Fraction(10**5000 + 1, 2))
 
     def test_ends_are_inclusive(self):
         assert _integral(1, "x", 1, 3) == 1

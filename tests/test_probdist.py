@@ -17,8 +17,8 @@ from keysec import (BitString, ConditionalChannel, Distribution,
                     contradiction_report, copy_vs_channel_gap,
                     empirical_distance, guessing_probability, kpa_next_bits,
                     maximal_coupling, maximal_mismatch, statistical_distance)
-from keysec.probdist import (_BLOCK, _blockwise_sum, dumps_distribution,
-                             loads_distribution)
+from keysec.probdist import (_BLOCK, _blockwise_sum, _total_variation,
+                             dumps_distribution, loads_distribution)
 
 
 def masses_strategy(bits):
@@ -620,6 +620,27 @@ class TestBlockwiseSum:
         for values in (rng.random(n), 10.0 ** rng.uniform(-300, 0, n)):
             total = _blockwise_sum(n, lambda lo: values[lo:lo + _BLOCK].sum())
             assert total == values.sum()
+
+    @pytest.mark.parametrize("n", [(1 << 14) + 1, 3 * (1 << 14) + 5])
+    def test_any_length_within_the_pairwise_bound(self, n):
+        # a pairwise sum of nonnegative terms is off by at most about
+        # (log2 n + 19) 2^-53 relative (numpy's leaves hold eight running
+        # sums of up to 16 terms), below 1e-14 for any n < 2^40
+        rng = np.random.default_rng(n)
+        for a in (rng.random(n), 10.0 ** rng.uniform(-300, 0, n)):
+            b = rng.random(n) * a
+            exact = 0.5 * math.fsum(np.abs(a - b))
+            assert _total_variation(a, b) == pytest.approx(exact, rel=1e-14,
+                                                           abs=0)
+
+    @pytest.mark.parametrize("r", [1, 7, 8, 10])
+    def test_raveled_joints_match_the_2d_sum(self, r):
+        # copy_vs_channel_gap passes its 2^r x 2^r joints raveled
+        rng = np.random.default_rng(r)
+        a, b = rng.random((2, 1 << r, 1 << r))
+        for x in (a, 10.0 ** (-300 * a)):
+            assert _total_variation(x.ravel(), b.ravel()) == \
+                0.5 * np.abs(x - b).sum()
 
 
 class TestStreamedKernels:
