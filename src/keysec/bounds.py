@@ -9,6 +9,7 @@ extractable length, and the security-rate trade-off solver.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -250,13 +251,8 @@ def epsilon_for_security_rate(s_target: float,
 
     bits = _key_bits(params, 1.0)
     top = max(0, math.floor(bits))  # L(1), the longest key at any eps_bar
-    lo, hi = 3, max(3, top)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if excess(mid) > 0:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = 3 + bisect.bisect_left(range(3, top), True,
+                                key=lambda l: excess(l) <= 0)
     for l in (1, 2, lo):
         if excess(l) == 0:
             return RateSolution(eps_bar=s_target * l, l=l, rate=l / params.n)

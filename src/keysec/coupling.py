@@ -9,15 +9,16 @@ small support sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .bounds import LogProb
-from .probdist import (_BLOCK, ConditionalChannel, Distribution,
-                       JointDistribution, _blockwise_sum, _check_same_space,
-                       _excess, _total_variation, statistical_distance)
+from .probdist import (ConditionalChannel, Distribution, JointDistribution,
+                       _check_same_space, _excess, _total_variation,
+                       statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
 MARGINAL_TOLERANCE = 1e-9
@@ -52,20 +53,15 @@ class Coupling:
 def mismatch_probability(c: Coupling) -> float:
     """Pr[X != Y], the joint's off-diagonal mass, capped at 1.
 
-    Summed directly, not as the cancelling 1 - trace.  Each block of
-    _BLOCK entries is copied and its diagonal zeroed there, so a 12-bit
-    joint (128 MiB) is never copied whole.
+    Summed directly, not as the cancelling 1 - trace.  Past the first
+    flat entry every run of n + 1 entries ends on a diagonal one, so
+    ``off`` is a strided view of exactly the off-diagonal entries and a
+    12-bit joint (128 MiB) is never copied.
     """
-    flat = c.joint.masses.reshape(-1)  # a view: the joint is C-contiguous
-    step = c.joint.masses.shape[0] + 1  # flat index of (x, x) is x * step
-    buf = np.empty(min(flat.size, _BLOCK))
-
-    def block_sum(lo):
-        np.copyto(buf, flat[lo:lo + _BLOCK])
-        buf[-lo % step::step] = 0.0
-        return buf.sum()
-
-    return min(1.0, float(_blockwise_sum(flat.size, block_sum)))
+    masses = c.joint.masses
+    n = masses.shape[0]
+    off = masses.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    return min(1.0, math.fsum(off.sum(axis=1)))
 
 
 def maximal_mismatch(p: Distribution, q: Distribution) -> float:
@@ -125,11 +121,8 @@ def min_mismatch_oracle(p: Distribution, q: Distribution) -> float:
             f"got {len(supp_p)} x {len(supp_q)}")
     nr, nc = len(supp_p), len(supp_q)
     cost = (supp_p[:, None] != supp_q[None, :]).astype(float)
-    a_eq = np.zeros((nr + nc, nr * nc))
-    for i in range(nr):
-        a_eq[i, i * nc:(i + 1) * nc] = 1.0
-    for j in range(nc):
-        a_eq[nr + j, j::nc] = 1.0
+    a_eq = np.vstack([np.kron(np.eye(nr), np.ones(nc)),
+                      np.kron(np.ones(nr), np.eye(nc))])
     b_eq = np.concatenate([a[supp_p], b[supp_q]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")
