@@ -28,14 +28,16 @@ def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
 def _within(value, name: str, lo, hi) -> None:
     """The one range check: lo <= value <= hi (NaN fails), or ValueError."""
     if not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+        raise ValueError(
+            f"{name} must be in [{lo}, {hi}], got {_shown(value, str)}")
 
 
-def _shown(value) -> str:
-    # repr() refuses integers past sys.get_int_max_str_digits() digits,
-    # also inside another value such as a Fraction
+def _shown(value, form=repr) -> str:
+    # repr() and str() refuse integers past sys.get_int_max_str_digits()
+    # digits, also inside another value such as a Fraction; str() prints
+    # numpy scalars plainly
     try:
-        return repr(value)
+        return form(value)
     except ValueError:
         if not isinstance(value, int):
             return f"a {type(value).__name__} too long to print"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
-from .bits import _integral, _within
+from .bits import _integral, _shown, _within
 
 LOG10_2 = math.log10(2.0)
 # above 2^53 a length is not an exact float: -l rounds, l * x can overflow
@@ -61,7 +62,8 @@ class LogProb:
 
     def __post_init__(self):
         if not self.log2_value <= 0.0:  # also refuses NaN
-            raise ValueError(f"log2_value must be <= 0, got {self.log2_value}")
+            raise ValueError("log2_value must be <= 0, "
+                             f"got {_shown(self.log2_value, str)}")
 
     @classmethod
     def from_log2(cls, log2_value: float) -> LogProb:
@@ -140,7 +142,8 @@ def leakage_profile(l: int, eps: float) -> LeakageProfile:
     """
     l = _check_key_len(l)
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be strictly inside (0, 1), got {eps}")
+        raise ValueError(
+            f"eps must be strictly inside (0, 1), got {_shown(eps, str)}")
     f = -math.log2(eps)
     return LeakageProfile(f=f, leaked_bits=l / f)
 
@@ -159,7 +162,8 @@ class EfficiencyReport:
 
 def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> EfficiencyReport:
     """Fraction of transmitted raw bits that survive as final key bits."""
-    if not (0.0 < raw_rate_bps < math.inf and 0.0 < key_rate_bps < math.inf):
+    top = sys.float_info.max
+    if not (0.0 < raw_rate_bps <= top and 0.0 < key_rate_bps <= top):
         raise ValueError("rates must be positive and finite")
     ratio = key_rate_bps / raw_rate_bps
     return EfficiencyReport(ratio=ratio, inverted=ratio > 1.0)
@@ -188,8 +192,10 @@ class FiniteKeyParams:
         for name in ("p_fail", "eps_cor"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.leak_ec is not None and not 0.0 <= self.leak_ec < math.inf:
+                raise ValueError(
+                    f"{name} must be in (0, 1], got {_shown(v, str)}")
+        if (self.leak_ec is not None
+                and not 0.0 <= self.leak_ec <= sys.float_info.max):
             raise ValueError("leak_ec must be finite and >= 0")
 
     @property
@@ -206,7 +212,8 @@ def extractable_key_length(p: FiniteKeyParams, eps_bar: float) -> int:
     eps_cor)), clamped at zero.  Logs are base 2: lengths are in bits.
     """
     if not 0.0 < eps_bar <= 1.0:  # also refuses NaN
-        raise ValueError(f"eps_bar must be in (0, 1], got {eps_bar}")
+        raise ValueError(
+            f"eps_bar must be in (0, 1], got {_shown(eps_bar, str)}")
     return max(0, math.floor(_key_bits(p, eps_bar)))
 
 
@@ -239,7 +246,7 @@ def epsilon_for_security_rate(s_target: float,
     to 1 / L(1) all have roots, and one below is the vanishing-rate regime:
     this block length cannot meet the demanded per-bit security.
     """
-    if not 0.0 < s_target < math.inf:
+    if not 0.0 < s_target <= sys.float_info.max:
         raise ValueError("s_target must be positive and finite")
 
     def excess(l: int) -> int:

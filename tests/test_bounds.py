@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,7 +13,10 @@ from keysec import (Distribution, FiniteKeyParams, LogProb, NoSolutionError,
                     leakage_profile, markov_individual_bound,
                     pipeline_efficiency, required_epsilon, statistical_distance,
                     yuen_upper_bound)
+from keysec import bounds
 from keysec.bounds import log2_add
+
+HUGE = 10**5000  # past the 4300-digit limit of str() and the float range
 
 
 class TestLogProb:
@@ -199,7 +203,8 @@ class TestPipelineEfficiency:
             pipeline_efficiency(1.0, -2.0)
 
     @pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan),
-                                       (math.inf, 1.0), (1.0, math.inf)])
+                                       (math.inf, 1.0), (1.0, math.inf),
+                                       (HUGE, 1.0), (1.0, HUGE)])
     def test_non_finite_rates_rejected(self, rates):
         with pytest.raises(ValueError, match="finite"):
             pipeline_efficiency(*rates)
@@ -297,6 +302,29 @@ class TestRateSolver:
         recomputed = extractable_key_length(params, solution.eps_bar)
         assert recomputed == solution.l
         assert solution.rate == solution.l / params.n
+
+
+    def test_logarithmic_evaluation_count(self, monkeypatch):
+        # bisection over 3 <= l < L(1), then l = 1, 2 and the candidate
+        rng = np.random.default_rng(28)
+        calls = []
+
+        def counted(params, eps_bar):
+            calls.append(eps_bar)
+            return extractable_key_length(params, eps_bar)
+
+        monkeypatch.setattr(bounds, "extractable_key_length", counted)
+        for _ in range(250):
+            params = FiniteKeyParams(n=int(10 ** rng.uniform(3, 9)),
+                                     q=float(rng.uniform(0.0, 0.11)))
+            s_target = float(10 ** rng.uniform(-16, -8))
+            top = extractable_key_length(params, 1.0)
+            calls.clear()
+            try:
+                epsilon_for_security_rate(s_target, params)
+            except NoSolutionError:
+                pass
+            assert len(calls) <= math.ceil(math.log2(max(top, 2))) + 3
 
 
 def _least_root_by_scan(s_target, params):
@@ -455,7 +483,8 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="Q"):
             FiniteKeyParams(n=1000, **{"q": 0.05, field: math.nan})
 
-    @pytest.mark.parametrize("leak", [math.inf, math.nan])
+    @pytest.mark.parametrize("leak", [math.inf, math.nan,
+                                      pytest.param(HUGE, id="10**5000")])
     def test_non_finite_leak_rejected(self, leak):
         with pytest.raises(ValueError, match="leak_ec"):
             FiniteKeyParams(n=1000, q=0.05, leak_ec=leak)
@@ -467,6 +496,25 @@ class TestNonFiniteInput:
     def test_infinite_security_rate_is_a_validation_error(self):
         with pytest.raises(ValueError, match="s_target"):
             epsilon_for_security_rate(math.inf, default_rate_params(10**7))
+
+    def test_integer_past_the_floats_is_a_validation_error(self):
+        with pytest.raises(ValueError, match="s_target"):
+            epsilon_for_security_rate(HUGE, default_rate_params(10**7))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: LogProb(HUGE), "log2_value must be <= 0"),
+        (lambda: leakage_profile(10, HUGE),
+         "eps must be strictly inside (0, 1)"),
+        (lambda: FiniteKeyParams(n=10, q=0.1, p_fail=HUGE),
+         "p_fail must be in (0, 1]"),
+        (lambda: extractable_key_length(FiniteKeyParams(n=10, q=0.1), HUGE),
+         "eps_bar must be in (0, 1]"),
+    ], ids=["LogProb", "leakage_profile", "FiniteKeyParams",
+            "extractable_key_length"])
+    def test_huge_integer_shown_by_bit_length(self, call, message):
+        shown = f"{message}, got an integer of 16610 bits"
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            call()
 
 
 class TestLengthsBeyondExactFloats:

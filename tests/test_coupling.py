@@ -81,7 +81,7 @@ class TestMismatchProbability:
                              Distribution(1, [0.75, 0.25]))
         assert mismatch_probability(c) == pytest.approx(0.25, abs=1e-12)
 
-    @pytest.mark.parametrize("l", range(1, 9))
+    @pytest.mark.parametrize("l", range(0, 9))
     def test_off_diagonal_mass_against_fraction(self, l):
         # 1 - trace cancels: at 8 bits the spike pair gave 9.9609e-13
         # beside an exact off-diagonal mass of 9.9607e-13
