@@ -55,20 +55,23 @@ class DensityMatrix:
         mat = _as_square_complex(entries, "density matrix")
         mat = _hermitian_psd(mat, "density matrix")
         if abs(mat.trace().real - 1.0) > HERMITIAN_TOL:
-            raise ValueError(f"trace {mat.trace().real!r} differs from 1")
+            raise ValueError(f"trace {mat.trace().real} differs from 1")
         self.dim = mat.shape[0]
         self.mat = mat
         self.mat.flags.writeable = False
 
     @classmethod
     def pure(cls, statevector) -> DensityMatrix:
-        v = np.asarray(statevector, dtype=complex)
-        if not np.all(np.isfinite(v)):
+        parts = np.asarray(statevector, dtype=complex).ravel().view(float)
+        if not np.all(np.isfinite(parts)):
             raise ValueError("state vector has non-finite entries")
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
+        top = np.abs(parts).max(initial=0.0)
+        if top == 0.0:
             raise ValueError("state vector must be nonzero")
-        v = v / norm
+        # an exact power of two brings the largest part into [0.5, 1), so
+        # the squared norm can neither underflow nor overflow
+        v = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+        v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
     @classmethod

@@ -104,6 +104,18 @@ class TestDensityMatrix:
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
         assert rho.mat[0, 0].real == pytest.approx(0.36, abs=1e-12)
 
+    @pytest.mark.parametrize("vector, like", [
+        ([1e-200, 1e-200], [1, 1]), ([1e154, 1e154], [1, 1]),
+        ([1e200, 1e200], [1, 1]), ([5e-324, 0], [1, 0]), ([3e-162, 0], [1, 0])])
+    def test_pure_state_of_extreme_moduli(self, vector, like):
+        # squared norms below or above the float range
+        got = DensityMatrix.pure(vector).mat
+        assert got.tobytes() == DensityMatrix.pure(like).mat.tobytes()
+
+    def test_bad_trace_prints_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^trace 2\.0 differs from 1$"):
+            DensityMatrix(np.eye(2))
+
     def test_pure_rejects_zero_vector(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
