@@ -38,16 +38,41 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
     return _index(outcome, "outcome index", outcome_bits)
 
 
+def _numbers(values, what: str, dtype=float) -> np.ndarray:
+    # a new array of values as dtype, float or complex; complex values are
+    # refused for floats, since numpy would drop their imaginary part
+    arr = np.array(values)
+    if arr.dtype.kind != "c" or dtype is complex:
+        try:
+            return arr.astype(dtype, copy=False)
+        except (OverflowError, TypeError):  # an integer past the floats
+            pass
+    raise ValueError(f"{what} must be {dtype.__name__} values")
+
+
+def _mass_array(masses, *sides) -> tuple:
+    # the bits of each (bits, name) side, each capped before 1 << bits is
+    # built, then a private float copy of the 2^b1 x 2^b2 ... masses
+    bits = [_integral(b, name, 0, DENSE_BITS_CAP) for b, name in sides]
+    arr, shape = _numbers(masses, "masses"), tuple(1 << b for b in bits)
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    return (*bits, arr)
+
+
 def _validated_masses(arr: np.ndarray) -> np.ndarray:
-    # a NaN mass makes min() NaN, which fails ``>= 0``; arr is a private copy
+    # every row along the last axis a law, checked in one pass and, as arr
+    # is a private copy, renormalized in place; a NaN mass fails min() >= 0
     if not arr.min() >= 0:
         raise ValueError("negative or NaN probability mass")
     with np.errstate(over="ignore"):  # huge masses sum to inf, refused below
-        total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"masses sum to {total!r}, outside 1 +- {SUM_TOLERANCE}")
-    if total != 1.0:
-        arr /= total  # in place, the same IEEE quotients as arr / total
+        totals = arr.sum(axis=-1, keepdims=True)
+    bad = totals[np.abs(totals - 1.0) > SUM_TOLERANCE]
+    if bad.size:
+        raise ValueError(f"masses sum to {bad.item(0)!r}, "
+                         f"outside 1 +- {SUM_TOLERANCE}")
+    if (totals != 1.0).any():
+        arr /= totals  # a row totalling 1.0 keeps its masses bit for bit
     return arr
 
 
@@ -66,16 +91,12 @@ class Distribution:
     __slots__ = ("outcome_bits", "_dense", "_spike")
 
     def __init__(self, outcome_bits: int, masses):
-        outcome_bits = _integral(outcome_bits, "outcome_bits")
-        if outcome_bits > DENSE_BITS_CAP:
+        if _integral(outcome_bits, "outcome_bits") > DENSE_BITS_CAP:
             raise ValueError(
                 f"dense storage capped at {DENSE_BITS_CAP} bits; "
                 "use Distribution.spike for larger spaces")
-        arr = np.array(masses, dtype=float)  # private copy, frozen below
-        if arr.shape != (1 << outcome_bits,):
-            raise ValueError(
-                f"expected {1 << outcome_bits} masses, got {arr.shape}")
-        self.outcome_bits = outcome_bits
+        self.outcome_bits, arr = _mass_array(
+            masses, (outcome_bits, "outcome_bits"))
         self._dense = _validated_masses(arr)
         self._dense.flags.writeable = False
         self._spike = None
@@ -172,25 +193,16 @@ class Distribution:
         return f"Distribution({self.outcome_bits}, <{self.n_outcomes} masses>)"
 
 
-def _mass_matrix(masses, rows: tuple, cols: tuple) -> tuple:
-    # (row bits, column bits, a private float copy of the 2^r x 2^c
-    # matrix); each (bits, name) side is capped before 1 << bits is built
-    r, c = (_integral(b, name, 0, DENSE_BITS_CAP) for b, name in (rows, cols))
-    arr = np.array(masses, dtype=float)
-    if arr.shape != (1 << r, 1 << c):
-        raise ValueError(f"expected shape {(1 << r, 1 << c)}, got {arr.shape}")
-    return r, c, arr
-
-
 class JointDistribution:
     """Joint mass function over a pair of bitstring spaces, indexed (x, y)."""
 
     __slots__ = ("x_bits", "y_bits", "masses")
 
     def __init__(self, x_bits: int, y_bits: int, masses):
-        self.x_bits, self.y_bits, arr = _mass_matrix(
+        self.x_bits, self.y_bits, arr = _mass_array(
             masses, (x_bits, "x_bits"), (y_bits, "y_bits"))
-        self.masses = _validated_masses(arr)
+        _validated_masses(arr.reshape(-1))  # one total, renormalized in place
+        self.masses = arr
         self.masses.flags.writeable = False
 
 
@@ -200,11 +212,9 @@ class ConditionalChannel:
     __slots__ = ("in_bits", "out_bits", "matrix")
 
     def __init__(self, in_bits: int, out_bits: int, rows):
-        self.in_bits, self.out_bits, mat = _mass_matrix(
+        self.in_bits, self.out_bits, mat = _mass_array(
             rows, (in_bits, "in_bits"), (out_bits, "out_bits"))
-        for row in mat:  # each row a view, renormalized in place
-            _validated_masses(row)
-        self.matrix = mat
+        self.matrix = _validated_masses(mat)  # one total per row
         self.matrix.flags.writeable = False
 
     @classmethod

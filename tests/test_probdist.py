@@ -496,6 +496,30 @@ class TestConditionalChannel:
         assert [sum(r) for r in rows] == [1.0, 1.0]
         assert ConditionalChannel(1, 1, rows).matrix.tolist() == rows
 
+    def test_large_channel_matches_per_row_reference(self):
+        # all rows are checked in one pass; each must equal the old
+        # one-row-at-a-time renormalization bit for bit
+        rng = np.random.default_rng(29)
+        rows = rng.random((1 << 16, 2))
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[::3] += rng.uniform(-5e-11, 5e-11, size=rows[::3].shape)
+        expected = rows.copy()
+        for row in expected:
+            total = float(row.sum())
+            if total != 1.0:
+                row /= total
+        assert (rows.sum(axis=1) != 1.0).sum() > 10_000
+        w = ConditionalChannel(16, 1, rows)
+        assert w.matrix.tobytes() == expected.tobytes()
+
+    def test_negative_mass_reported_before_a_bad_row_total(self):
+        with pytest.raises(ValueError, match="negative"):
+            ConditionalChannel(1, 1, [[0.7, 0.1], [1.1, -0.1]])
+
+    def test_bad_row_total_named(self):
+        with pytest.raises(ValueError, match=r"^masses sum to 0\.75, outside"):
+            ConditionalChannel(1, 1, [[0.5, 0.5], [0.5, 0.25]])
+
     def test_binary_symmetric(self):
         w = ConditionalChannel.binary_symmetric(0.1)
         assert w.matrix[0, 1] == pytest.approx(0.1)
