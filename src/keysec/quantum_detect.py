@@ -15,14 +15,14 @@ import numpy as np
 
 from .bits import _integral, _within
 from .probdist import (Distribution, _fmt, _json_numbers, _json_size,
-                       _read_document, _total_variation)
+                       _numbers, _read_document, _total_variation)
 
 DIM_CAP = 16
 HERMITIAN_TOL = 1e-10
 
 
 def _as_square_complex(entries, what: str) -> np.ndarray:
-    mat = np.asarray(entries, dtype=complex)
+    mat = _numbers(entries, f"{what} entries", complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
     _integral(mat.shape[0], f"{what} dimension", 1)
@@ -35,10 +35,12 @@ def _as_square_complex(entries, what: str) -> np.ndarray:
 
 
 def _hermitian_psd(mat: np.ndarray, what: str) -> np.ndarray:
-    # Rejects non-Hermitian or non-PSD input; returns the Hermitian part.
-    if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
+    # Rejects non-Hermitian or non-PSD input, one matrix or a stack of them
+    # over the last two axes; returns the Hermitian part.
+    adjoint = mat.conj().swapaxes(-1, -2)
+    if np.abs(mat - adjoint).max() > HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian within {HERMITIAN_TOL:g}")
-    mat = 0.5 * (mat + mat.conj().T)
+    mat = 0.5 * (mat + adjoint)
     smallest = np.linalg.eigvalsh(mat).min()
     if smallest < -HERMITIAN_TOL:
         raise ValueError(f"{what} is not positive semidefinite: "
@@ -62,7 +64,7 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, statevector) -> DensityMatrix:
-        parts = np.asarray(statevector, dtype=complex).ravel().view(float)
+        parts = _numbers(statevector, "state vector", complex).ravel().view(float)
         if not np.all(np.isfinite(parts)):
             raise ValueError("state vector has non-finite entries")
         top = np.abs(parts).max(initial=0.0)
@@ -77,7 +79,8 @@ class DensityMatrix:
     @classmethod
     def diagonal(cls, p: Distribution | np.ndarray) -> DensityMatrix:
         """Classical distribution embedded on the diagonal."""
-        weights = p.masses if isinstance(p, Distribution) else np.asarray(p, float)
+        weights = (p.masses if isinstance(p, Distribution)
+                   else _numbers(p, "diagonal weights"))
         return cls(np.diag(weights.astype(complex)))
 
     @classmethod
@@ -87,6 +90,7 @@ class DensityMatrix:
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> DensityMatrix:
+        x, y, z = _numbers([x, y, z], "Bloch vector").tolist()
         if x * x + y * y + z * z > 1.0 + 1e-12:
             raise ValueError("Bloch vector must have norm <= 1")
         return cls(0.5 * np.array([[1 + z, x - 1j * y],
@@ -102,17 +106,15 @@ class Povm:
         if not elements:
             raise ValueError("a measurement needs at least one element")
         mats = [_as_square_complex(e, "POVM element") for e in elements]
-        dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for m in mats:
-            if m.shape[0] != dim:
-                raise ValueError("POVM elements must share one dimension")
-            _hermitian_psd(m, "POVM element")  # elements are stored as given
-            total += m
-        if np.abs(total - np.eye(dim)).max() > HERMITIAN_TOL:
+        if len({m.shape for m in mats}) > 1:
+            raise ValueError("POVM elements must share one dimension")
+        stack = np.stack(mats)
+        _hermitian_psd(stack, "POVM element")  # elements are stored as given
+        dim = len(mats[0])
+        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > HERMITIAN_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         self.dim = dim
-        self.elements = [m.copy() for m in mats]
+        self.elements = mats  # private copies, made by _as_square_complex
 
     @classmethod
     def computational_basis(cls, dim: int) -> Povm:

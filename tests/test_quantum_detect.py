@@ -166,6 +166,19 @@ class TestPovm:
         with pytest.raises(ValueError, match="POVM element is not positive"):
             Povm([bad, np.eye(2) - bad])
 
+    def test_every_element_of_the_stack_checked(self):
+        skew = np.array([[0.0, 1e-6], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="POVM element is not Hermitian"):
+            Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]) + skew, -skew])
+
+    def test_elements_stored_as_given_in_private_copies(self):
+        # an anti-Hermitian part within tolerance is kept, not symmetrized
+        e = np.array([[0.5, 1e-12j], [0.0, 0.5]])
+        povm = Povm([e, np.eye(2) - e])
+        e[0, 0] = 9.0
+        assert povm.elements[0].tolist() == [[0.5, 1e-12j], [0.0, 0.5]]
+        assert povm.elements[1].tolist() == [[0.5, -1e-12j], [0.0, 0.5]]
+
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError, match="capped"):
             Povm([np.eye(17)])
