@@ -13,6 +13,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 from .bits import _integral, _shown, _within
 
@@ -61,9 +62,12 @@ class LogProb:
     log2_complement: float | None = None
 
     def __post_init__(self):
-        if not self.log2_value <= 0.0:  # also refuses NaN
-            raise ValueError("log2_value must be <= 0, "
-                             f"got {_shown(self.log2_value, str)}")
+        v = self.log2_value
+        if not (isinstance(v, Real) and v <= 0.0):  # also refuses NaN
+            raise ValueError(f"log2_value must be <= 0, got {_shown(v, str)}")
+        if -math.inf < v < -sys.float_info.max:  # value and log10 need a float
+            raise ValueError(
+                f"log2_value must be in the float range, got {_shown(v, str)}")
 
     @classmethod
     def from_log2(cls, log2_value: float) -> LogProb:
@@ -187,7 +191,14 @@ class FiniteKeyParams:
     def __post_init__(self):
         object.__setattr__(
             self, "n", _integral(self.n, "block length n", 1, MAX_EXACT_LEN))
-        if not (self.q >= 0.0 and self.mu >= 0.0 and self.q + self.mu <= 1.0):
+        leak = () if self.leak_ec is None else (self.leak_ec,)
+        if not all(isinstance(v, Real) for v in (self.q, self.mu, self.p_fail,
+                                                  self.eps_cor, *leak)):
+            raise ValueError(
+                "Q, mu, leak_ec, p_fail and eps_cor must be real numbers")
+        # each bounded first, so Q + mu cannot overflow
+        if not (0.0 <= self.q <= 1.0 and 0.0 <= self.mu <= 1.0
+                and self.q + self.mu <= 1.0):
             raise ValueError("need 0 <= Q, 0 <= mu, Q + mu <= 1")
         for name in ("p_fail", "eps_cor"):
             v = getattr(self, name)

@@ -116,9 +116,14 @@ class SampleSet:
         object.__setattr__(self, "block_len", _integral(
             self.block_len, "block_len", 1, BLOCK_LEN_CAP))
         raw = np.asarray(self.values)
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
-            vals = raw.astype(np.int64, copy=False)
-        if vals is not raw and not np.array_equal(vals, raw):
+        vals = None
+        if raw.dtype.kind != "c":  # numpy would cast it with only a warning
+            with np.errstate(invalid="ignore"):  # NaN and inf fail below
+                try:
+                    vals = raw.astype(np.int64, copy=False)
+                except (OverflowError, TypeError):  # 10**5000, None
+                    pass
+        if vals is None or (vals is not raw and not np.array_equal(vals, raw)):
             raise ValueError("block values must be integers")
         if vals.size == 0:
             raise ValueError("sample set must be nonempty")

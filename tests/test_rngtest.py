@@ -418,7 +418,7 @@ class TestSampleSetType:
             SampleSet(2, np.array([4]))
 
     @pytest.mark.parametrize("values", [[1.7, 2.2], [1, np.nan], [np.inf],
-                                        ["1", "2"]], ids=repr)
+                                        ["1", "2"], [1, None]], ids=repr)
     def test_non_integral_values_rejected(self, values):
         with pytest.raises(ValueError, match="block values must be integers"):
             SampleSet(4, values)
