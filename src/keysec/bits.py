@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 MAX_MATERIALIZED_LEN = 2**20
 
@@ -26,8 +27,12 @@ def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
 
 
 def _within(value, name: str, lo, hi) -> None:
-    """The one range check: lo <= value <= hi (NaN fails), or ValueError."""
-    if not lo <= value <= hi:
+    """The one range check: lo <= value <= hi (NaN fails), or ValueError.
+
+    A complex value fails too: numpy compares its complex scalars, and a
+    later ``float()`` would drop the imaginary part with only a warning.
+    """
+    if not (isinstance(value, Real) and lo <= value <= hi):
         raise ValueError(
             f"{name} must be in [{lo}, {hi}], got {_shown(value, str)}")
 

@@ -45,7 +45,7 @@ def _numbers(values, what: str, dtype=float) -> np.ndarray:
     if arr.dtype.kind != "c" or dtype is complex:
         try:
             return arr.astype(dtype, copy=False)
-        except (OverflowError, TypeError):  # an integer past the floats
+        except (OverflowError, TypeError):  # 10**5000, a non-number
             pass
     raise ValueError(f"{what} must be {dtype.__name__} values")
 

@@ -1,9 +1,10 @@
 """Every closed-interval argument goes through one check, ``bits._within``.
 
-NaN, both infinities, values just outside either end, a numpy scalar and
-an integer past the 4300-digit limit of ``str()`` raise ValueError with the
-one message ``<name> must be in [lo, hi], got <value>``; the numpy scalar
-prints plainly and the integer by its bit length.
+NaN, both infinities, values just outside either end, a numpy scalar, a
+numpy complex scalar inside the interval and an integer past the 4300-digit
+limit of ``str()`` raise ValueError with the one message ``<name> must be in
+[lo, hi], got <value>``; the numpy scalars print plainly and the integer by
+its bit length.
 """
 
 import math
@@ -40,11 +41,12 @@ SITES = [
 @pytest.mark.parametrize("call, name, lo, hi", [s[1:] for s in SITES],
                          ids=[s[0] for s in SITES])
 @pytest.mark.parametrize("where", ["nan", "inf", "-inf", "lo", "hi", "huge",
-                                   "numpy"])
+                                   "numpy", "complex"])
 def test_outside_the_closed_interval(call, name, lo, hi, where):
     value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
              "lo": lo - 1e-9, "hi": hi + 1e-9, "huge": 10**5000,
-             "numpy": np.float64(hi + 1)}[where]
+             "numpy": np.float64(hi + 1),
+             "complex": np.complex128((lo + hi) / 2)}[where]
     shown = "an integer of 16610 bits" if where == "huge" else value
     message = f"{name} must be in [{lo}, {hi}], got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
