@@ -2,7 +2,7 @@
 
 Each site embeds one value in an otherwise valid argument.  An integer past
 the float range of either sign, NaN, both infinities, and the valid value
-made complex (``0.25 + 0j``, which a silent cast would accept) raise
+made complex (such as ``0.25 + 0j``, which a silent cast would accept) raise
 ValueError wherever they are invalid, never OverflowError, TypeError or a
 cast with only a warning, since the suite turns warnings into errors.
 """
