@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -26,15 +28,25 @@ def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     return n
 
 
-def _within(value, name: str, lo, hi) -> None:
-    """The one range check: lo <= value <= hi (NaN fails), or ValueError.
+def _within(value, name: str, lo, hi, ends: str = "[]") -> None:
+    """The one range check: value between lo and hi (NaN fails), or ValueError.
 
-    A complex value fails too: numpy compares its complex scalars, and a
-    later ``float()`` would drop the imaginary part with only a warning.
+    ``ends`` marks each end closed, ``[`` and ``]``, or open, ``(`` and
+    ``)``.  A complex value fails too: numpy compares its complex scalars,
+    and a later ``float()`` would drop the imaginary part with only a
+    warning.  The comparison is exact; then, where an end is infinite, a
+    value no float holds (``-10**5000`` in [-inf, 0]) fails as outside the
+    float range.
     """
-    if not (isinstance(value, Real) and lo <= value <= hi):
+    if not (isinstance(value, Real)
+            and (lo < value if ends[0] == "(" else lo <= value)
+            and (value < hi if ends[1] == ")" else value <= hi)):
+        raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, "
+                         f"got {_shown(value, str)}")
+    if ((lo == -math.inf or hi == math.inf)  # else a float holds all inside
+            and sys.float_info.max < abs(value) < math.inf):
         raise ValueError(
-            f"{name} must be in [{lo}, {hi}], got {_shown(value, str)}")
+            f"{name} must be in the float range, got {_shown(value, str)}")
 
 
 def _shown(value, form=repr) -> str:

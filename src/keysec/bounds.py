@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
-from numbers import Real
 
-from .bits import _integral, _shown, _within
+from .bits import _integral, _within
 
 LOG10_2 = math.log10(2.0)
 # above 2^53 a length is not an exact float: -l rounds, l * x can overflow
@@ -62,12 +60,9 @@ class LogProb:
     log2_complement: float | None = None
 
     def __post_init__(self):
-        v = self.log2_value
-        if not (isinstance(v, Real) and v <= 0.0):  # also refuses NaN
-            raise ValueError(f"log2_value must be <= 0, got {_shown(v, str)}")
-        if -math.inf < v < -sys.float_info.max:  # value and log10 need a float
-            raise ValueError(
-                f"log2_value must be in the float range, got {_shown(v, str)}")
+        _within(self.log2_value, "log2_value", -math.inf, 0)
+        if self.log2_complement is not None:
+            _within(self.log2_complement, "log2_complement", -math.inf, 0)
 
     @classmethod
     def from_log2(cls, log2_value: float) -> LogProb:
@@ -145,9 +140,7 @@ def leakage_profile(l: int, eps: float) -> LeakageProfile:
     the alternative reading l / log(1/l) is rejected (see README).
     """
     l = _check_key_len(l)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(
-            f"eps must be strictly inside (0, 1), got {_shown(eps, str)}")
+    _within(eps, "eps", 0, 1, "()")
     f = -math.log2(eps)
     return LeakageProfile(f=f, leaked_bits=l / f)
 
@@ -166,9 +159,8 @@ class EfficiencyReport:
 
 def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> EfficiencyReport:
     """Fraction of transmitted raw bits that survive as final key bits."""
-    top = sys.float_info.max
-    if not (0.0 < raw_rate_bps <= top and 0.0 < key_rate_bps <= top):
-        raise ValueError("rates must be positive and finite")
+    _within(raw_rate_bps, "raw_rate_bps", 0, math.inf, "()")
+    _within(key_rate_bps, "key_rate_bps", 0, math.inf, "()")
     ratio = key_rate_bps / raw_rate_bps
     return EfficiencyReport(ratio=ratio, inverted=ratio > 1.0)
 
@@ -191,23 +183,13 @@ class FiniteKeyParams:
     def __post_init__(self):
         object.__setattr__(
             self, "n", _integral(self.n, "block length n", 1, MAX_EXACT_LEN))
-        leak = () if self.leak_ec is None else (self.leak_ec,)
-        if not all(isinstance(v, Real) for v in (self.q, self.mu, self.p_fail,
-                                                  self.eps_cor, *leak)):
-            raise ValueError(
-                "Q, mu, leak_ec, p_fail and eps_cor must be real numbers")
-        # each bounded first, so Q + mu cannot overflow
-        if not (0.0 <= self.q <= 1.0 and 0.0 <= self.mu <= 1.0
-                and self.q + self.mu <= 1.0):
-            raise ValueError("need 0 <= Q, 0 <= mu, Q + mu <= 1")
-        for name in ("p_fail", "eps_cor"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(
-                    f"{name} must be in (0, 1], got {_shown(v, str)}")
-        if (self.leak_ec is not None
-                and not 0.0 <= self.leak_ec <= sys.float_info.max):
-            raise ValueError("leak_ec must be finite and >= 0")
+        _within(self.q, "Q", 0, 1)
+        _within(self.mu, "mu", 0, 1)
+        _within(self.q + self.mu, "Q + mu", 0, 1)  # each bounded: no overflow
+        _within(self.p_fail, "p_fail", 0, 1, "(]")
+        _within(self.eps_cor, "eps_cor", 0, 1, "(]")
+        if self.leak_ec is not None:
+            _within(self.leak_ec, "leak_ec", 0, math.inf, "[)")
 
     @property
     def effective_leak_ec(self) -> float:
@@ -222,9 +204,7 @@ def extractable_key_length(p: FiniteKeyParams, eps_bar: float) -> int:
     floor of n (1 - h(Q + mu)) - Leak_EC - log2(2 p_fail / (eps_bar^2
     eps_cor)), clamped at zero.  Logs are base 2: lengths are in bits.
     """
-    if not 0.0 < eps_bar <= 1.0:  # also refuses NaN
-        raise ValueError(
-            f"eps_bar must be in (0, 1], got {_shown(eps_bar, str)}")
+    _within(eps_bar, "eps_bar", 0, 1, "(]")
     return max(0, math.floor(_key_bits(p, eps_bar)))
 
 
@@ -257,8 +237,7 @@ def epsilon_for_security_rate(s_target: float,
     to 1 / L(1) all have roots, and one below is the vanishing-rate regime:
     this block length cannot meet the demanded per-bit security.
     """
-    if not 0.0 < s_target <= sys.float_info.max:
-        raise ValueError("s_target must be positive and finite")
+    _within(s_target, "s_target", 0, math.inf, "()")
 
     def excess(l: int) -> int:
         # L(s l) - l, or -1 once eps_bar = s l passes 1, past every root

@@ -206,7 +206,12 @@ class TestPipelineEfficiency:
                                        (math.inf, 1.0), (1.0, math.inf),
                                        (HUGE, 1.0), (1.0, HUGE)])
     def test_non_finite_rates_rejected(self, rates):
-        with pytest.raises(ValueError, match="finite"):
+        name, bad = (("raw_rate_bps", rates[0]) if rates[1] == 1.0
+                     else ("key_rate_bps", rates[1]))
+        message = (f"{name} must be in the float range, got an integer of "
+                   "16610 bits" if bad is HUGE
+                   else f"{name} must be in (0, inf), got {bad}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pipeline_efficiency(*rates)
 
 
@@ -480,7 +485,9 @@ class TestKeyLengthFloorMpmath:
 class TestNonFiniteInput:
     @pytest.mark.parametrize("field", ["q", "mu"])
     def test_nan_error_rates_rejected(self, field):
-        with pytest.raises(ValueError, match="Q"):
+        name = {"q": "Q", "mu": "mu"}[field]
+        with pytest.raises(ValueError, match=f"^{name} must be in "
+                                             r"\[0, 1\], got nan$"):
             FiniteKeyParams(n=1000, **{"q": 0.05, field: math.nan})
 
     @pytest.mark.parametrize("leak", [math.inf, math.nan,
@@ -502,9 +509,8 @@ class TestNonFiniteInput:
             epsilon_for_security_rate(HUGE, default_rate_params(10**7))
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: LogProb(HUGE), "log2_value must be <= 0"),
-        (lambda: leakage_profile(10, HUGE),
-         "eps must be strictly inside (0, 1)"),
+        (lambda: LogProb(HUGE), "log2_value must be in [-inf, 0]"),
+        (lambda: leakage_profile(10, HUGE), "eps must be in (0, 1)"),
         (lambda: FiniteKeyParams(n=10, q=0.1, p_fail=HUGE),
          "p_fail must be in (0, 1]"),
         (lambda: extractable_key_length(FiniteKeyParams(n=10, q=0.1), HUGE),
