@@ -39,10 +39,12 @@ def _outcome_index(outcome, outcome_bits: int) -> int:
 
 
 def _numbers(values, what: str, dtype=float) -> np.ndarray:
-    # a new array of values as dtype, float or complex; complex values are
-    # refused for floats, since numpy would drop their imaginary part
+    # a new array of values as dtype, float or complex; text is refused,
+    # which numpy would parse, and complex values are refused for floats,
+    # since numpy would drop their imaginary part
     arr = np.array(values)
-    if arr.dtype.kind != "c" or dtype is complex:
+    kind = arr.dtype.kind
+    if kind not in "USc" or (kind == "c" and dtype is complex):
         try:
             return arr.astype(dtype, copy=False)
         except (OverflowError, TypeError):  # 10**5000, a non-number

@@ -64,7 +64,10 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, statevector) -> DensityMatrix:
-        parts = _numbers(statevector, "state vector", complex).ravel().view(float)
+        v = _numbers(statevector, "state vector", complex)
+        if v.ndim != 1:
+            raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
+        parts = v.view(float)
         if not np.all(np.isfinite(parts)):
             raise ValueError("state vector has non-finite entries")
         top = np.abs(parts).max(initial=0.0)
@@ -103,9 +106,9 @@ class Povm:
     __slots__ = ("dim", "elements")
 
     def __init__(self, elements):
-        if not elements:
-            raise ValueError("a measurement needs at least one element")
         mats = [_as_square_complex(e, "POVM element") for e in elements]
+        if not mats:  # elements may be a numpy stack, which has no truth
+            raise ValueError("a measurement needs at least one element")
         if len({m.shape for m in mats}) > 1:
             raise ValueError("POVM elements must share one dimension")
         stack = np.stack(mats)

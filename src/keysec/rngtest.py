@@ -125,6 +125,9 @@ class SampleSet:
                     pass
         if vals is None or (vals is not raw and not np.array_equal(vals, raw)):
             raise ValueError("block values must be integers")
+        if vals.ndim != 1:
+            raise ValueError(
+                f"sample values must be 1-D, got shape {vals.shape}")
         if vals.size == 0:
             raise ValueError("sample set must be nonempty")
         if vals.min() < 0 or vals.max() >= (1 << self.block_len):

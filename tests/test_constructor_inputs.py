@@ -1,13 +1,17 @@
 """Every public constructor refuses a value no real float holds with ValueError.
 
 Each site embeds one value in an otherwise valid argument.  An integer past
-the float range of either sign, NaN, both infinities, and the valid value
-made complex (such as ``0.25 + 0j``, which a silent cast would accept) raise
+the float range of either sign, NaN, both infinities, the valid value made
+complex (such as ``0.25 + 0j``, which a silent cast would accept) and the
+valid value as text or bytes (``"0.25"``, which numpy would parse) raise
 ValueError wherever they are invalid, never OverflowError, TypeError or a
 cast with only a warning, since the suite turns warnings into errors.
 """
 
 import math
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 
@@ -44,13 +48,13 @@ SITES = [
     ("Povm", lambda v: Povm([[[v, 0], [0, 0]], [[0.5, 0], [0, 1]]]), 0.5,
      ("complex",)),
 ]
-KINDS = ["huge", "-huge", "nan", "inf", "-inf", "complex"]
+KINDS = ["huge", "-huge", "nan", "inf", "-inf", "complex", "text", "bytes"]
 
 
 def _value(kind, valid):
     return {"huge": 10**5000, "-huge": -10**5000, "nan": math.nan,
-            "inf": math.inf, "-inf": -math.inf,
-            "complex": complex(valid)}[kind]
+            "inf": math.inf, "-inf": -math.inf, "complex": complex(valid),
+            "text": str(valid), "bytes": str(valid).encode()}[kind]
 
 
 @pytest.mark.parametrize("call, valid", [s[1:3] for s in SITES],
@@ -69,3 +73,16 @@ def test_value_without_a_real_float_refused(call, valid, valid_kinds, kind):
     else:
         with pytest.raises(ValueError):
             call(value)
+
+
+@pytest.mark.parametrize("masses", [[True, False],
+                                    [Fraction(1, 4), Fraction(3, 4)]],
+                         ids=["bool", "Fraction"])
+def test_bool_and_object_masses_converted(masses):
+    assert Distribution(1, masses).masses.tolist() == [float(m) for m in masses]
+
+
+def test_integer_past_int64_converted():
+    # an object array, converted; the sum refuses the mass, not the cast
+    with pytest.raises(ValueError, match=r"^masses sum to 1e\+20, "):
+        Distribution(1, [10**20, 0])

@@ -116,6 +116,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match=r"^trace 2\.0 differs from 1$"):
             DensityMatrix(np.eye(2))
 
+    @pytest.mark.parametrize("vector", [np.eye(2), 1.0], ids=["2-D", "0-D"])
+    def test_pure_state_vector_must_be_1d(self, vector):
+        with pytest.raises(ValueError, match="state vector must be 1-D"):
+            DensityMatrix.pure(vector)
+
     def test_pure_rejects_zero_vector(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -195,6 +200,21 @@ class TestPovm:
     def test_rejects_empty_element(self):
         with pytest.raises(ValueError, match="element dimension must be >= 1"):
             Povm([np.zeros((0, 0))])
+
+    @pytest.mark.parametrize("elements", [[], np.zeros((0, 2, 2))],
+                             ids=["list", "stack"])
+    def test_needs_an_element(self, elements):
+        with pytest.raises(ValueError,
+                           match="a measurement needs at least one element"):
+            Povm(elements)
+
+    def test_stack_of_elements_same_as_list(self):
+        e = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+        elements = [e, np.eye(2) - e]
+        listed, stacked = Povm(elements), Povm(np.stack(elements))
+        rho = DensityMatrix.from_bloch(0.3, -0.2, 0.5)
+        assert np.array_equal(stacked.outcome_probabilities(rho),
+                              listed.outcome_probabilities(rho))
 
     def test_outcome_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)

@@ -413,6 +413,12 @@ class TestSampleSetType:
         with pytest.raises(ValueError, match="sample set must be nonempty"):
             SampleSet(1, np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("values", [[[0, 1], [2, 3]], 3, [[]]],
+                             ids=repr)
+    def test_values_must_be_1d(self, values):
+        with pytest.raises(ValueError, match="sample values must be 1-D"):
+            SampleSet(2, values)
+
     def test_value_range_checked(self):
         with pytest.raises(ValueError):
             SampleSet(2, np.array([4]))
