@@ -107,7 +107,7 @@ class Povm:
 
     def __init__(self, elements):
         mats = [_as_square_complex(e, "POVM element") for e in elements]
-        if not mats:  # elements may be a numpy stack, which has no truth
+        if not mats:  # checked here, as a numpy stack has no truth value
             raise ValueError("a measurement needs at least one element")
         if len({m.shape for m in mats}) > 1:
             raise ValueError("POVM elements must share one dimension")
