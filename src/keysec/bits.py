@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -35,18 +34,25 @@ def _within(value, name: str, lo, hi, ends: str = "[]") -> None:
     ``)``.  A complex value fails too: numpy compares its complex scalars,
     and a later ``float()`` would drop the imaginary part with only a
     warning.  The comparison is exact; then, where an end is infinite, a
-    value no float holds (``-10**5000`` in [-inf, 0]) fails as outside the
-    float range.
+    finite value that rounds to no finite float (``-10**5000`` in
+    [-inf, 0]) fails as outside the float range.  That test rounds with
+    ``float()``, which is exact for every numpy float up to 64 bits: a
+    comparison with ``sys.float_info.max`` would cast it to a narrower
+    numpy float and overflow there.
     """
     if not (isinstance(value, Real)
             and (lo < value if ends[0] == "(" else lo <= value)
             and (value < hi if ends[1] == ")" else value <= hi)):
         raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, "
                          f"got {_shown(value, str)}")
-    if ((lo == -math.inf or hi == math.inf)  # else a float holds all inside
-            and sys.float_info.max < abs(value) < math.inf):
-        raise ValueError(
-            f"{name} must be in the float range, got {_shown(value, str)}")
+    if lo == -math.inf or hi == math.inf:  # else a float holds all inside
+        try:
+            rounded = float(value)
+        except OverflowError:  # an int or a Fraction past the float range
+            rounded = math.inf
+        if math.isinf(rounded) and rounded != value:
+            raise ValueError(f"{name} must be in the float range, "
+                             f"got {_shown(value, str)}")
 
 
 def _shown(value, form=repr) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 from .bits import _integral, _within
@@ -158,10 +159,15 @@ class EfficiencyReport:
 
 
 def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> EfficiencyReport:
-    """Fraction of transmitted raw bits that survive as final key bits."""
+    """Fraction of transmitted raw bits that survive as final key bits.
+
+    A quotient past the float range (a raw rate of 5e-324 bps) saturates
+    at the largest float, so the ratio stays finite and inverted.
+    """
     _within(raw_rate_bps, "raw_rate_bps", 0, math.inf, "()")
     _within(key_rate_bps, "key_rate_bps", 0, math.inf, "()")
-    ratio = key_rate_bps / raw_rate_bps
+    # Python floats overflow to inf without the warning of numpy scalars
+    ratio = min(float(key_rate_bps) / float(raw_rate_bps), sys.float_info.max)
     return EfficiencyReport(ratio=ratio, inverted=ratio > 1.0)
 
 
@@ -240,7 +246,10 @@ def epsilon_for_security_rate(s_target: float,
     _within(s_target, "s_target", 0, math.inf, "()")
 
     def excess(l: int) -> int:
-        # L(s l) - l, or -1 once eps_bar = s l passes 1, past every root
+        # L(s l) - l, or -1 once eps_bar = s l passes 1, past every root;
+        # a target above 1 passes it at every l, where s l could overflow
+        if s_target > 1.0:
+            return -1
         eps = s_target * l
         if eps > 1.0:
             return -1

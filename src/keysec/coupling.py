@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import LinearConstraint, milp
 
 from .bounds import LogProb
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
@@ -124,8 +124,8 @@ def min_mismatch_oracle(p: Distribution, q: Distribution) -> float:
     a_eq = np.vstack([np.kron(np.eye(nr), np.ones(nc)),
                       np.kron(np.ones(nr), np.eye(nc))])
     b_eq = np.concatenate([a[supp_p], b[supp_q]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
+    # no integrality, so HiGHS solves the LP; milp's default bounds are x >= 0
+    res = milp(cost.ravel(), constraints=LinearConstraint(a_eq, b_eq, b_eq))
     if not res.success:
         raise RuntimeError(f"coupling LP failed: {res.message}")
     return float(res.fun)

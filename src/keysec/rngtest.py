@@ -15,7 +15,7 @@ blocks and any partition of the index range samples identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class BernoulliSource:
     """IID bits with P(1) = 0.5 + bias."""
 
     bias: float
+    # block_len -> (law, thresholds, guide, crowded), built by _lookup
+    _laws: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         _within(self.bias, "bias", -0.5, 0.5)
@@ -76,6 +79,9 @@ class MarkovSource:
 
     transition: ConditionalChannel
     initial: Distribution
+    # block_len -> (law, thresholds, guide, crowded), built by _lookup
+    _laws: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.transition.in_bits != 1 or self.transition.out_bits != 1:
@@ -88,8 +94,21 @@ SourceModel = BernoulliSource | MarkovSource
 
 
 def block_distribution(model: SourceModel, block_len: int) -> Distribution:
-    """Exact law of one block under the model."""
+    """Exact law of one block under the model, built once per block_len."""
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
+    return _lookup(model, block_len)[0]
+
+
+def _lookup(model: SourceModel, block_len: int) -> tuple:
+    """(law, thresholds, guide, crowded) of a checked block_len, kept.
+
+    The model keeps the tuple in ``_laws``, so later calls with the same
+    block length share one law and one set of read-only sampler tables
+    (see ``sample_blocks``); each model instance keeps its own, so equal
+    sources whose biases differ in numeric type never share a law.
+    """
+    if block_len in model._laws:
+        return model._laws[block_len]
     if isinstance(model, BernoulliSource):
         # the Markov chain whose transition rows both equal the initial law
         p1 = 0.5 + model.bias
@@ -99,9 +118,24 @@ def block_distribution(model: SourceModel, block_len: int) -> Distribution:
         masses = model.initial.masses
         trans = model.transition.matrix
     for _ in range(block_len - 1):
-        # index convention is MSB first, so the last emitted bit is idx & 1
-        masses = (masses[:, None] * trans[np.arange(len(masses)) & 1]).ravel()
-    return Distribution(block_len, masses)
+        # index convention is MSB first, so the last emitted bit is idx & 1:
+        # entry 2i + b is masses[i] * trans[i & 1, b]
+        masses = (masses.reshape(-1, 2, 1) * trans).ravel()
+    law = Distribution(block_len, masses)
+    cdf = np.cumsum(law.masses)
+    thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
+    thresholds[-1] = 1 << 53
+    shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
+    n_buckets = 1 << (block_len + 1)
+    lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
+    edges = np.cumsum(np.bincount(lowest.astype(np.int64),
+                                  minlength=n_buckets + 1))
+    crowded = np.diff(edges) > 1
+    guide = edges[:n_buckets].copy()
+    for table in (thresholds, guide, crowded):
+        table.flags.writeable = False
+    model._laws[block_len] = (law, thresholds, guide, crowded)
+    return model._laws[block_len]
 
 
 @dataclass(frozen=True)
@@ -130,7 +164,8 @@ class SampleSet:
                 f"sample values must be 1-D, got shape {vals.shape}")
         if vals.size == 0:
             raise ValueError("sample set must be nonempty")
-        if vals.min() < 0 or vals.max() >= (1 << self.block_len):
+        # one pass: a negative int64 read as uint64 sets bit 63
+        if int(np.bitwise_or.reduce(vals.view(np.uint64))) >> self.block_len:
             raise ValueError("block value out of range")
         object.__setattr__(self, "values", vals)
 
@@ -164,7 +199,10 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     Buckets holding two or more thresholds (a skewed law crowds them)
     are marked in the boolean mask ``crowded``; their outputs at or above
     T[guide[b]] finish by binary search.  Both find the number of
-    T[j] <= m, so the values do not depend on the lookup.
+    T[j] <= m, so the values do not depend on the lookup.  T, ``guide``
+    and ``crowded`` are built with the law on the first call for a
+    (model, block_len) and kept by the model (``_lookup``), about 2.1 MiB
+    at 16 bits, so later calls go straight to the loop.
 
     Blocks are drawn one cache block (``probdist._BLOCK``) at a time
     through ``splitmix64``'s offset, an exact partition of the stream, so
@@ -173,18 +211,9 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     """
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     count = _integral(count, "count", 1)
-    cdf = np.cumsum(block_distribution(model, block_len).masses)
-    thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
-    thresholds[-1] = 1 << 53
+    _, thresholds, guide, crowded = _lookup(model, block_len)
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
-    n_buckets = 1 << (block_len + 1)
-    lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
-    edges = np.cumsum(np.bincount(lowest.astype(np.int64),
-                                  minlength=n_buckets + 1))
-    crowded = np.diff(edges) > 1
     any_crowded = bool(crowded.any())
-    guide = edges[:n_buckets].copy()
-    del cdf, lowest, edges  # the loop keeps thresholds, guide and crowded
     values = np.empty(count, dtype=np.int64)
     width = min(count, _BLOCK)
     bucket = np.empty(width, dtype=np.uint64)

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -202,6 +203,13 @@ class TestPipelineEfficiency:
         with pytest.raises(ValueError):
             pipeline_efficiency(1.0, -2.0)
 
+    @pytest.mark.parametrize("raw", [5e-324, np.float64(5e-324)], ids=repr)
+    def test_overflowing_quotient_saturates(self, raw):
+        # 1 / 5e-324 is past the float range: the ratio stays finite
+        report = pipeline_efficiency(raw, 1.0)
+        assert report.ratio == sys.float_info.max
+        assert report.inverted
+
     @pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan),
                                        (math.inf, 1.0), (1.0, math.inf),
                                        (HUGE, 1.0), (1.0, HUGE)])
@@ -296,6 +304,15 @@ class TestRateSolver:
         # L(1) = 0 at n = 100: no ratio to report, so no "vanishes" figure
         with pytest.raises(NoSolutionError, match="no positive key length"):
             epsilon_for_security_rate(1.0, default_rate_params(100))
+
+    @pytest.mark.parametrize("s_target", [
+        sys.float_info.max, np.float64(sys.float_info.max),
+        np.float32(np.finfo(np.float32).max), np.float16(2.0)], ids=repr)
+    def test_target_above_one_has_no_root(self, s_target):
+        # eps_bar = s l passes 1 at every l; s l is never formed, so a
+        # numpy target cannot overflow (tier-1 turns warnings into errors)
+        with pytest.raises(NoSolutionError, match="no positive key length"):
+            epsilon_for_security_rate(s_target, default_rate_params(10 ** 4))
 
     def test_target_validated(self):
         with pytest.raises(ValueError):

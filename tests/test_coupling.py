@@ -193,7 +193,7 @@ class TestMinMismatchOracle:
     def test_solver_failure_raised(self, monkeypatch):
         class Failed:
             success, message = False, "infeasible"
-        monkeypatch.setattr(coupling, "linprog", lambda *a, **k: Failed)
+        monkeypatch.setattr(coupling, "milp", lambda *a, **k: Failed)
         p = Distribution(1, [0.5, 0.5])
         with pytest.raises(RuntimeError,
                            match="coupling LP failed: infeasible"):

@@ -81,13 +81,15 @@ def _inner(lo, hi):
 @pytest.mark.parametrize("call, name, lo, hi, ends", [s[1:] for s in SITES],
                          ids=IDS)
 @pytest.mark.parametrize("where", ["nan", "inf", "-inf", "lo", "hi", "huge",
-                                   "-huge", "numpy", "complex", "1j"])
+                                   "-huge", "numpy", "float32", "float16",
+                                   "complex", "1j"])
 def test_outside_the_closed_interval(call, name, lo, hi, ends, where):
     value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
              "lo": lo if ends[0] == "(" else lo - 1e-9,
              "hi": hi if ends[1] == ")" else hi + 1e-9,
              "huge": 10**5000, "-huge": -10**5000,
-             "numpy": np.float64(hi + 1),
+             "numpy": np.float64(hi + 1), "float32": np.float32(hi + 1),
+             "float16": np.float16(hi + 1),
              "complex": np.complex128(_inner(lo, hi)), "1j": 1j}[where]
     if value == -math.inf == lo:
         call(value)  # the closed end -inf is inside
@@ -112,6 +114,18 @@ def test_just_inside_each_end(call, name, lo, hi, ends, end):
              "hi": math.nextafter(hi, lo) if ends[1] == ")" else hi}[end]
     try:
         call(value)
+    except NoSolutionError:  # past the check: the solver found no root
+        pass
+
+
+@pytest.mark.parametrize("call, name, lo, hi, ends", [s[1:] for s in SITES],
+                         ids=IDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_narrow_numpy_float_inside(call, name, lo, hi, ends, dtype):
+    # no check may cast a bound or the float range to the narrow type:
+    # LogProb(np.float32(-1)) once overflowed casting sys.float_info.max
+    try:
+        call(dtype(_inner(lo, hi)))
     except NoSolutionError:  # past the check: the solver found no root
         pass
 

@@ -1,19 +1,22 @@
 import bisect
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from keysec import (BernoulliSource, BitString, ConditionalChannel,
                     Distribution, MarkovSource, SampleSet, block_distribution,
                     empirical_distance, model_distance_to_uniform,
                     sample_blocks, uniformity_failure_report)
 from keysec import probdist, rngtest
-from keysec.rngtest import splitmix64
+from keysec.rngtest import BLOCK_LEN_CAP, splitmix64
 
 # 64-bit finalizer over a Weyl sequence; reference outputs from the
 # published scalar recurrence
@@ -124,6 +127,17 @@ PLATEAU_MODEL = MarkovSource(
     transition=ConditionalChannel(1, 1, [[1.0, 0.0], [0.3, 0.7]]),
     initial=Distribution(1, [0.4, 0.6]))
 
+# random sources of either kind; a Bernoulli bias may be a Fraction, equal
+# to the float it was drawn as (so equal and hashing alike)
+SOURCE_MODELS = st.one_of(
+    st.floats(-0.5, 0.5).map(BernoulliSource),
+    st.floats(-0.5, 0.5).map(lambda b: BernoulliSource(Fraction(b))),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).map(
+        lambda p: MarkovSource(
+            transition=ConditionalChannel(
+                1, 1, [[1.0 - p[0], p[0]], [1.0 - p[1], p[1]]]),
+            initial=Distribution(1, [1.0 - p[2], p[2]]))))
+
 
 class TestBlockDistribution:
     def test_unbiased_is_uniform(self):
@@ -155,6 +169,79 @@ class TestBlockDistribution:
     def test_block_len_cap(self):
         with pytest.raises(ValueError):
             block_distribution(BernoulliSource(0.0), 17)
+
+    @settings(max_examples=25, deadline=None)
+    @given(model=SOURCE_MODELS, block_len=st.integers(1, 12))
+    def test_masses_are_left_to_right_path_products(self, model, block_len):
+        # bit for bit: each mass is the product along its path, taken from
+        # the first bit on in Python floats, then one renormalization
+        if isinstance(model, BernoulliSource):
+            p1 = 0.5 + model.bias
+            first = [1.0 - p1, p1]
+            step = [first, first]
+        else:
+            first = model.initial.masses.tolist()
+            step = model.transition.matrix.tolist()
+        ref = []
+        for idx in range(1 << block_len):
+            bits = [(idx >> k) & 1 for k in reversed(range(block_len))]
+            mass = first[bits[0]]
+            for a, b in zip(bits, bits[1:]):
+                mass *= step[a][b]
+            ref.append(mass)
+        assert (block_distribution(model, block_len).masses.tobytes()
+                == Distribution(block_len, ref).masses.tobytes())
+
+
+class TestBuiltOnce:
+    """A source builds its block law and sampler tables once per length."""
+
+    def test_law_is_kept(self):
+        model = BernoulliSource(1e-4)
+        assert block_distribution(model, 16) is block_distribution(model, 16.0)
+
+    def test_second_call_peak_is_values_plus_one_mib(self):
+        # the first call builds about 2.1 MiB of tables at 16 bits (see
+        # test_peak_memory_is_values_plus_constant); a later call reuses
+        # them and allocates only the values and one chunk's scratch
+        count = 10**6
+        model = BernoulliSource(1e-4)
+        sample_blocks(model, 16, 1, seed=5)
+        _, peak = traced_peak(lambda: sample_blocks(model, 16, count, seed=5))
+        assert peak <= 8 * count + 2**20
+
+    @settings(max_examples=25, deadline=None)
+    @given(models=st.tuples(SOURCE_MODELS, SOURCE_MODELS),
+           calls=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12),
+                                    st.integers(1, 300),
+                                    st.integers(0, (1 << 64) - 1)),
+                          min_size=1, max_size=8))
+    def test_interleaved_calls_match_fresh_models(self, models, calls):
+        for which, block_len, count, seed in calls:
+            model = models[which]
+            fresh = dataclasses.replace(model)  # equal, with an empty memo
+            drawn = sample_blocks(model, block_len, count, seed).values
+            assert drawn.tolist() == sample_blocks(
+                fresh, block_len, count, seed).values.tolist()
+            assert (model_distance_to_uniform(model, block_len)
+                    == model_distance_to_uniform(fresh, block_len))
+            assert (block_distribution(model, block_len).masses.tobytes()
+                    == block_distribution(fresh, block_len).masses.tobytes())
+
+    @pytest.mark.parametrize("make", [
+        lambda: BernoulliSource(0.1),
+        lambda: MarkovSource(transition=PLATEAU_MODEL.transition,
+                             initial=PLATEAU_MODEL.initial)],
+        ids=["bernoulli", "markov"])
+    def test_equality_hash_and_repr_unchanged(self, make):
+        used, unused = make(), make()
+        text, digest = repr(used), hash(used)
+        sample_blocks(used, 8, 10, seed=1)
+        model_distance_to_uniform(used, 5)
+        assert repr(used) == repr(unused) == text
+        assert hash(used) == hash(unused) == digest
+        assert used == unused
+        assert {unused: "found"}[used] == "found"
 
 
 class TestSourceModels:
@@ -422,6 +509,23 @@ class TestSampleSetType:
     def test_value_range_checked(self):
         with pytest.raises(ValueError):
             SampleSet(2, np.array([4]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.integers(1, BLOCK_LEN_CAP).flatmap(lambda l: st.tuples(
+        st.just(l), st.lists(st.one_of(
+            st.sampled_from([0, (1 << l) - 1, 1 << l, -1, -(1 << 63),
+                             (1 << 63) - 1]),
+            st.integers(-(1 << 63), (1 << 63) - 1)), min_size=1, max_size=6))))
+    def test_range_check_is_min_max_test(self, case):
+        # the one-pass check reads the values as uint64: a negative value
+        # sets bit 63, so it fails exactly as min() < 0 would
+        block_len, values = case
+        vals = np.array(values, dtype=np.int64)
+        if vals.min() < 0 or vals.max() >= (1 << block_len):
+            with pytest.raises(ValueError, match="block value out of range"):
+                SampleSet(block_len, vals)
+        else:
+            assert SampleSet(block_len, vals).values.tolist() == vals.tolist()
 
     @pytest.mark.parametrize("values", [[1.7, 2.2], [1, np.nan], [np.inf],
                                         ["1", "2"], [1, None]], ids=repr)
