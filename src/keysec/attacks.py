@@ -15,7 +15,8 @@ import numpy as np
 
 from .bits import MAX_MATERIALIZED_LEN, BitString, _integral
 from .probdist import (_BLOCK, Distribution, JointDistribution,
-                       _blockwise_sum, conditional_guessing_probability)
+                       _blockwise_sum, conditional_guessing_probability,
+                       guessing_probability)
 
 PA_KEY_BITS_CAP = 10
 
@@ -43,12 +44,15 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     model: P(k | c) proportional to p_k(k) p_x(c xor k).  The reported
     ``avg_success`` is the attacker's best key-guess probability from
     side information carrying no key correlation, which collapses by
-    total probability to max_k p_k(k): the ciphertext observation leaves
-    a uniformly keyed pad at exactly 2^(-l).
+    total probability to max_k p_k(k), ``guessing_probability(p_k)``
+    (which a dense key law computes once and keeps): the ciphertext
+    observation leaves a uniformly keyed pad at exactly 2^(-l).
 
     The unnormalized row p_k(k) p_x(c xor k) is never built whole: one
-    cache block at a time, each key block (reduced to its max) meets one
-    plaintext block, and their product is reduced to its total and argmax.
+    cache block at a time, each key block meets one plaintext block, and
+    their product is reduced to its total and argmax.  A stride-0
+    plaintext law (the uniform view) holds one float, so its blocks are
+    that float and are never gathered.
     """
     l = p_k.outcome_bits
     if p_x.outcome_bits != l or len(c) != l:
@@ -64,16 +68,21 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     c_high = c_idx & -_BLOCK
     cols = np.arange(m) ^ (c_idx & (m - 1))
     buf = np.empty(m)
-    map_mass, map_idx, key_max = -1.0, 0, 0.0
+    map_mass, map_idx = -1.0, 0
+    # np.take would copy each non-contiguous block of a stride-0 law
+    flat = plain_masses.strides == (0,)
 
     def block_sum(lo):
-        nonlocal map_mass, map_idx, key_max
-        start = lo ^ c_high
-        # every index is in range; with the default mode="raise",
-        # np.take copies through a hidden buffer
-        np.take(plain_masses[start:start + m], cols, out=buf, mode="clip")
-        key_max = max(key_max, key_masses[lo:lo + m].max())
-        np.multiply(buf, key_masses[lo:lo + m], out=buf)
+        nonlocal map_mass, map_idx
+        if flat:  # x * y == y * x, so the products are the gathered ones
+            np.multiply(key_masses[lo:lo + m], plain_masses[0], out=buf)
+        else:
+            start = lo ^ c_high
+            # every index is in range; with the default mode="raise",
+            # np.take copies through a hidden buffer
+            np.take(plain_masses[start:start + m], cols, out=buf,
+                    mode="clip")
+            np.multiply(buf, key_masses[lo:lo + m], out=buf)
         j = int(buf.argmax())
         if buf[j] > map_mass:  # strictly, so ties keep the lowest index
             map_mass, map_idx = buf[j], lo + j
@@ -85,7 +94,7 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
     return AttackReport(
         map_guess=BitString.from_index(map_idx, l),
         map_posterior=float(map_mass / p_c),
-        avg_success=float(key_max),
+        avg_success=guessing_probability(p_k),
     )
 
 

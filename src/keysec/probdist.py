@@ -88,9 +88,13 @@ class Distribution:
     law is the eps = 0 spike; its lookups are computed with the exact
     expressions used by ``expand_dense``, so both forms answer ``prob``
     identically bit for bit.
+
+    As its masses are read-only, a dense law computes its maximum mass, its
+    distance from the uniform law and its excess over it on the first query
+    and keeps them in ``_memo`` (see ``_once``).
     """
 
-    __slots__ = ("outcome_bits", "_dense", "_spike")
+    __slots__ = ("outcome_bits", "_dense", "_spike", "_memo")
 
     def __init__(self, outcome_bits: int, masses):
         if _integral(outcome_bits, "outcome_bits") > DENSE_BITS_CAP:
@@ -102,6 +106,7 @@ class Distribution:
         self._dense = _validated_masses(arr)
         self._dense.flags.writeable = False
         self._spike = None
+        self._memo = {}
 
     @classmethod
     def spike(cls, outcome_bits: int, epsilon: float, outcome) -> Distribution:
@@ -120,6 +125,7 @@ class Distribution:
         self.outcome_bits = outcome_bits
         self._dense = None
         self._spike = (idx, float(epsilon))
+        self._memo = {}
         return self
 
     @classmethod
@@ -179,7 +185,7 @@ class Distribution:
         # not renormalized, so lookups stay bit-identical to the spike form
         dense = object.__new__(Distribution)
         dense.outcome_bits = self.outcome_bits
-        dense._dense, dense._spike = arr, None
+        dense._dense, dense._spike, dense._memo = arr, None, {}
         return dense
 
     def support_size(self) -> int:
@@ -234,11 +240,29 @@ def _check_same_space(p: Distribution, q: Distribution) -> None:
             f"outcome spaces differ: {p.outcome_bits} vs {q.outcome_bits} bits")
 
 
+def _is_uniform(p: Distribution) -> bool:
+    return p._spike is not None and p._spike[1] == 0.0
+
+
+def _once(p: Distribution, key: str, compute) -> float:
+    # a full-pass summary of dense p, computed on its first query and kept:
+    # p's masses are read-only, so the value cannot go stale, and two
+    # threads filling one entry can only store the same float
+    if key not in p._memo:
+        p._memo[key] = compute()
+    return p._memo[key]
+
+
 def statistical_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance (1/2) sum_x |p(x) - q(x)|."""
     _check_same_space(p, q)
     if p.is_spike and q.is_spike:
         return _spike_pair_distance(p, q)
+    if _is_uniform(p):
+        p, q = q, p  # |u - p| and |p - u| are the same float
+    if _is_uniform(q):  # so p is dense
+        return _once(p, "distance",
+                     lambda: _total_variation(p.masses, q.masses))
     return _total_variation(p.masses, q.masses)
 
 
@@ -295,14 +319,18 @@ def _excess(p: Distribution, q: Distribution) -> float:
     """sum_x (p(x) - q(x))^+, the off-diagonal mass of the maximal coupling."""
     if p.is_spike and q.is_spike:
         return _spike_pair_distance(p, q)  # that same sum, in closed form
-    return _difference_sum(p.masses, q.masses,
-                           lambda d, out: np.maximum(d, 0.0, out=out))
+
+    def kernel():
+        return _difference_sum(p.masses, q.masses,
+                               lambda d, out: np.maximum(d, 0.0, out=out))
+
+    return _once(p, "excess", kernel) if _is_uniform(q) else kernel()
 
 
 def guessing_probability(p: Distribution) -> float:
     """Optimal single-guess success probability max_x p(x) = 2^(-Hmin)."""
     if p._spike is None:
-        return float(p._dense.max())
+        return _once(p, "max", lambda: float(p._dense.max()))
     return p._spike[1] + p._background()
 
 

@@ -65,9 +65,11 @@ class BernoulliSource:
     """IID bits with P(1) = 0.5 + bias."""
 
     bias: float
-    # block_len -> (law, thresholds, guide, crowded), built by _lookup
+    # block_len -> law, and block_len -> (thresholds, guide, crowded)
     _laws: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         _within(self.bias, "bias", -0.5, 0.5)
@@ -79,9 +81,11 @@ class MarkovSource:
 
     transition: ConditionalChannel
     initial: Distribution
-    # block_len -> (law, thresholds, guide, crowded), built by _lookup
+    # block_len -> law, and block_len -> (thresholds, guide, crowded)
     _laws: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.transition.in_bits != 1 or self.transition.out_bits != 1:
@@ -94,19 +98,13 @@ SourceModel = BernoulliSource | MarkovSource
 
 
 def block_distribution(model: SourceModel, block_len: int) -> Distribution:
-    """Exact law of one block under the model, built once per block_len."""
-    block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
-    return _lookup(model, block_len)[0]
+    """Exact law of one block under the model, built once per block_len.
 
-
-def _lookup(model: SourceModel, block_len: int) -> tuple:
-    """(law, thresholds, guide, crowded) of a checked block_len, kept.
-
-    The model keeps the tuple in ``_laws``, so later calls with the same
-    block length share one law and one set of read-only sampler tables
-    (see ``sample_blocks``); each model instance keeps its own, so equal
-    sources whose biases differ in numeric type never share a law.
+    The model keeps the law in ``_laws``, so later calls with the same
+    block length share one law; each model instance keeps its own, so
+    equal sources whose biases differ in numeric type never share a law.
     """
+    block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     if block_len in model._laws:
         return model._laws[block_len]
     if isinstance(model, BernoulliSource):
@@ -121,8 +119,20 @@ def _lookup(model: SourceModel, block_len: int) -> tuple:
         # index convention is MSB first, so the last emitted bit is idx & 1:
         # entry 2i + b is masses[i] * trans[i & 1, b]
         masses = (masses.reshape(-1, 2, 1) * trans).ravel()
-    law = Distribution(block_len, masses)
-    cdf = np.cumsum(law.masses)
+    model._laws[block_len] = Distribution(block_len, masses)
+    return model._laws[block_len]
+
+
+def _sampler_tables(model: SourceModel, block_len: int) -> tuple:
+    """(thresholds, guide, crowded) of a checked block_len, kept.
+
+    Built from the law on the first ``sample_blocks`` call for the block
+    length and kept read-only in the model's ``_tables``, so a caller
+    that only asks for the law never builds them.
+    """
+    if block_len in model._tables:
+        return model._tables[block_len]
+    cdf = np.cumsum(block_distribution(model, block_len).masses)
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
@@ -134,8 +144,8 @@ def _lookup(model: SourceModel, block_len: int) -> tuple:
     guide = edges[:n_buckets].copy()
     for table in (thresholds, guide, crowded):
         table.flags.writeable = False
-    model._laws[block_len] = (law, thresholds, guide, crowded)
-    return model._laws[block_len]
+    model._tables[block_len] = (thresholds, guide, crowded)
+    return model._tables[block_len]
 
 
 @dataclass(frozen=True)
@@ -200,9 +210,9 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     are marked in the boolean mask ``crowded``; their outputs at or above
     T[guide[b]] finish by binary search.  Both find the number of
     T[j] <= m, so the values do not depend on the lookup.  T, ``guide``
-    and ``crowded`` are built with the law on the first call for a
-    (model, block_len) and kept by the model (``_lookup``), about 2.1 MiB
-    at 16 bits, so later calls go straight to the loop.
+    and ``crowded`` are built on the first call for a (model, block_len)
+    and kept by the model (``_sampler_tables``), about 1.6 MiB at 16 bits
+    beside the law's 0.5 MiB, so later calls go straight to the loop.
 
     Blocks are drawn one cache block (``probdist._BLOCK``) at a time
     through ``splitmix64``'s offset, an exact partition of the stream, so
@@ -211,7 +221,7 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     """
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     count = _integral(count, "count", 1)
-    _, thresholds, guide, crowded = _lookup(model, block_len)
+    thresholds, guide, crowded = _sampler_tables(model, block_len)
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
     any_crowded = bool(crowded.any())
     values = np.empty(count, dtype=np.int64)
@@ -253,7 +263,11 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
 
 def empirical_distance(s: SampleSet) -> float:
     """Distance of the observed block frequencies from exact uniform."""
-    return _total_variation(s.counts() / s.count,
+    return _counts_distance(s, s.counts())
+
+
+def _counts_distance(s: SampleSet, counts: np.ndarray) -> float:
+    return _total_variation(counts / s.count,
                             Distribution.uniform(s.block_len).masses)
 
 
@@ -274,11 +288,12 @@ def uniformity_failure_report(s: SampleSet) -> UniformityReport:
     not on the sample or the model, however small ``empirical_delta`` gets.
     """
     n_outcomes = 1 << s.block_len
+    counts = s.counts()
     exactly_uniform = False
     if s.count % n_outcomes == 0:
-        exactly_uniform = bool(np.all(s.counts() == s.count // n_outcomes))
+        exactly_uniform = bool(np.all(counts == s.count // n_outcomes))
     return UniformityReport(
-        empirical_delta=empirical_distance(s),
+        empirical_delta=_counts_distance(s, counts),
         exactly_uniform=exactly_uniform,
         independent_failure=LogProb.one_minus_pow2(s.block_len),
     )

@@ -23,8 +23,9 @@ def test_version_matches_the_project_metadata():
 
 
 def test_only_probdist_reads_a_laws_storage():
-    # README design notes: only probdist reads how a spike law is laid out
-    layout = re.compile(r"\._(spike|dense)\b")
+    # README design notes: only probdist reads how a spike law is laid out,
+    # or the summaries a dense law keeps
+    layout = re.compile(r"\._(spike|dense|memo)\b")
     readers = [path.name for path in Path(keysec.__file__).parent.glob("*.py")
                if path.name != "probdist.py"
                and layout.search(path.read_text())]

@@ -17,6 +17,7 @@ from keysec import (BitString, ConditionalChannel, Distribution,
                     contradiction_report, copy_vs_channel_gap,
                     empirical_distance, guessing_probability, kpa_next_bits,
                     maximal_coupling, maximal_mismatch, statistical_distance)
+from keysec import probdist
 from keysec.probdist import (_BLOCK, _blockwise_sum, _total_variation,
                              dumps_distribution, loads_distribution)
 
@@ -788,11 +789,92 @@ class TestAllocationBounds:
         _, peak = traced_peak(lambda: kernel(p, Distribution.uniform(20)))
         assert peak <= 160 << 10
 
-    def test_ciphertext_only_attack_streams(self):
+    @pytest.mark.parametrize("uniform_plaintext", [False, True],
+                             ids=["dense", "uniform"])
+    def test_ciphertext_only_attack_streams(self, uniform_plaintext):
         rng = np.random.default_rng(22)
         p_x, p_k = random_distribution(rng, 20), random_distribution(rng, 20)
         c = BitString.from_index(int(rng.integers(1 << 20)), 20)
+        if uniform_plaintext:  # a stride-0 view, whose blocks np.take copies
+            p_x = Distribution.uniform(20)
         report, peak = traced_peak(
             lambda: ciphertext_only_attack(c, p_x, p_k))
         assert peak <= 320 << 10
         assert report.avg_success == guessing_probability(p_k)
+        if uniform_plaintext:
+            explicit = Distribution(20, np.full(1 << 20, 2.0 ** -20))
+            assert report == ciphertext_only_attack(c, explicit, p_k)
+
+
+def _positive_part_sum(a, b):
+    # the unmemoized excess kernel, sum (a - b)^+
+    return probdist._difference_sum(
+        a, b, lambda d, out: np.maximum(d, 0.0, out=out))
+
+
+def count_kernel_calls(monkeypatch):
+    # a list that grows by one on each call of the dense difference kernel
+    calls = []
+    kernel = probdist._difference_sum
+    monkeypatch.setattr(probdist, "_difference_sum",
+                        lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+class TestSummaryMemo:
+    """A dense law keeps its maximum, distance and excess from uniform."""
+
+    @pytest.mark.parametrize("l", [1, 2, 7, 14, 15, 16, 20])
+    @pytest.mark.parametrize("uniform_first", [False, True])
+    def test_first_and_second_query_match_kernel(self, l, uniform_first):
+        rng = np.random.default_rng(l)
+        p, u = random_distribution(rng, l), Distribution.uniform(l)
+        distance = _total_variation(p.masses, u.masses)
+        excess = min(1.0, _positive_part_sum(p.masses, u.masses))
+        deficit = min(1.0, _positive_part_sum(u.masses, p.masses))
+        best = float(p.masses.max())
+        for _ in range(2):
+            pair = [statistical_distance(u, p), statistical_distance(p, u)]
+            assert pair[::-1 if uniform_first else 1] == [distance] * 2
+            assert maximal_mismatch(p, u) == excess
+            assert maximal_mismatch(u, p) == deficit  # never from p's memo
+            assert guessing_probability(p) == best
+            report = contradiction_report(p)
+            assert (report.delta, report.maximal_mismatch) == (distance,
+                                                               excess)
+
+    def test_second_distance_runs_no_kernel(self, monkeypatch):
+        p = random_distribution(np.random.default_rng(3), 12)
+        u = Distribution.uniform(12)
+        calls = count_kernel_calls(monkeypatch)
+        first = statistical_distance(p, u)
+        assert len(calls) == 1
+        assert statistical_distance(p, Distribution.uniform(12)) == first
+        assert statistical_distance(u, p) == first
+        maximal_mismatch(p, u)
+        maximal_mismatch(p, u)
+        contradiction_report(p)
+        assert len(calls) == 2  # one distance and one excess pass in all
+
+    def test_equal_laws_keep_their_own(self, monkeypatch):
+        w = np.random.default_rng(4).random(1 << 10)
+        p, q = Distribution(10, w / w.sum()), Distribution(10, w / w.sum())
+        assert p.masses.tobytes() == q.masses.tobytes()
+        u = Distribution.uniform(10)
+        statistical_distance(p, u)
+        maximal_mismatch(p, u)
+        calls = count_kernel_calls(monkeypatch)
+        assert statistical_distance(q, u) == statistical_distance(p, u)
+        assert maximal_mismatch(q, u) == maximal_mismatch(p, u)
+        assert len(calls) == 2
+
+    def test_other_pairs_are_not_kept(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        p, q = random_distribution(rng, 10), random_distribution(rng, 10)
+        spike = Distribution.spike(10, 1e-3, 7)
+        calls = count_kernel_calls(monkeypatch)
+        for other in (q, spike):
+            assert statistical_distance(p, other) == statistical_distance(
+                p, other)
+            assert maximal_mismatch(p, other) == maximal_mismatch(p, other)
+        assert len(calls) == 8

@@ -200,6 +200,19 @@ class TestBuiltOnce:
         model = BernoulliSource(1e-4)
         assert block_distribution(model, 16) is block_distribution(model, 16.0)
 
+    def test_law_alone_keeps_its_masses(self):
+        # the sampler tables (about 1.6 MiB at 16 bits) wait for the first
+        # sample_blocks call, so the model keeps the law's 512 KiB and
+        # under 1 KiB of objects
+        model = BernoulliSource(1e-4)
+        tracemalloc.start()
+        try:
+            block_distribution(model, 16)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= (512 << 10) + (4 << 10)
+
     def test_second_call_peak_is_values_plus_one_mib(self):
         # the first call builds about 2.1 MiB of tables at 16 bits (see
         # test_peak_memory_is_values_plus_constant); a later call reuses
@@ -481,6 +494,18 @@ class TestUniformityReport:
         assert 1e-3 < report.empirical_delta < 3e-2
         assert report.independent_failure.value == 1 - 2.0 ** -8
         assert report.independent_failure.log2_complement == -8
+
+    def test_counts_once(self, monkeypatch):
+        s = sample_blocks(BernoulliSource(0.1), 4, 4096, 1)
+        expected = (empirical_distance(s),
+                    bool(np.all(s.counts() == 4096 // 16)))
+        calls = []
+        counts = SampleSet.counts
+        monkeypatch.setattr(SampleSet, "counts",
+                            lambda self: calls.append(1) or counts(self))
+        report = uniformity_failure_report(s)
+        assert len(calls) == 1
+        assert (report.empirical_delta, report.exactly_uniform) == expected
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
