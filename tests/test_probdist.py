@@ -795,7 +795,7 @@ class TestAllocationBounds:
         rng = np.random.default_rng(22)
         p_x, p_k = random_distribution(rng, 20), random_distribution(rng, 20)
         c = BitString.from_index(int(rng.integers(1 << 20)), 20)
-        if uniform_plaintext:  # a stride-0 view, whose blocks np.take copies
+        if uniform_plaintext:  # a stride-0 view of one float
             p_x = Distribution.uniform(20)
         report, peak = traced_peak(
             lambda: ciphertext_only_attack(c, p_x, p_k))
