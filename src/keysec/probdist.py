@@ -91,7 +91,7 @@ class Distribution:
 
     As its masses are read-only, a dense law computes its maximum mass, its
     distance from the uniform law and its excess over it on the first query
-    and keeps them in ``_memo`` (see ``_once``).
+    and keeps them, as a spike keeps its expansion (see ``_once``).
     """
 
     __slots__ = ("outcome_bits", "_dense", "_spike", "_memo")
@@ -162,11 +162,10 @@ class Distribution:
 
     @property
     def masses(self) -> np.ndarray:
-        # a spike keeps its expansion, built on the first read, in _dense;
-        # its queries still branch on _spike, so they stay closed form
-        if self._dense is None:
-            self._dense = self.expand_dense()._dense
-        return self._dense
+        if self._spike is None:
+            return self._dense
+        # a spike keeps its expansion (see _once); its queries stay closed form
+        return _once(self, "dense", self.expand_dense)._dense
 
     def expand_dense(self) -> Distribution:
         if self._spike is None:
@@ -244,13 +243,17 @@ def _is_uniform(p: Distribution) -> bool:
     return p._spike is not None and p._spike[1] == 0.0
 
 
-def _once(p: Distribution, key: str, compute) -> float:
-    # a full-pass summary of dense p, computed on its first query and kept:
-    # p's masses are read-only, so the value cannot go stale, and two
-    # threads filling one entry can only store the same float
-    if key not in p._memo:
-        p._memo[key] = compute()
-    return p._memo[key]
+def _once(owner, key, compute):
+    """The one cache keysec has: ``compute()``, kept in ``owner._memo``.
+
+    It holds a dense law's summaries and sampler tables, a spike's
+    expansion and a source model's block laws.  Each is a function of
+    state its owner never changes (read-only masses, a frozen model), so
+    no entry can go stale, and two threads filling one store equal values.
+    """
+    if key not in owner._memo:
+        owner._memo[key] = compute()
+    return owner._memo[key]
 
 
 def statistical_distance(p: Distribution, q: Distribution) -> float:

@@ -111,13 +111,13 @@ class Povm:
             raise ValueError("a measurement needs at least one element")
         if len({m.shape for m in mats}) > 1:
             raise ValueError("POVM elements must share one dimension")
-        stack = np.stack(mats)
+        stack = np.stack(mats)  # a private copy
         _hermitian_psd(stack, "POVM element")  # elements are stored as given
         dim = len(mats[0])
         if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > HERMITIAN_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        self.dim = dim
-        self.elements = mats  # private copies, made by _as_square_complex
+        stack.flags.writeable = False
+        self.dim, self.elements = dim, stack
 
     @classmethod
     def computational_basis(cls, dim: int) -> Povm:
@@ -128,7 +128,12 @@ class Povm:
     def outcome_probabilities(self, rho: DensityMatrix) -> np.ndarray:
         if rho.dim != self.dim:
             raise ValueError(f"state dim {rho.dim} vs POVM dim {self.dim}")
-        return np.array([float(np.trace(rho.mat @ e).real) for e in self.elements])
+        return np.array([_trace_product(rho.mat, e) for e in self.elements])
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    # Tr(AB) = sum a_ij b_ji, summed by numpy, not by a BLAS kernel per CPU
+    return float((a * b.T).sum().real)
 
 
 def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -180,8 +185,7 @@ def overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     next to the distance measures.
     """
     _check_dims(rho, sigma)
-    value = float(np.trace(rho.mat @ sigma.mat).real)
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, _trace_product(rho.mat, sigma.mat)))
 
 
 # -- file format -------------------------------------------------------------

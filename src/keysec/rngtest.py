@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import _integral, _within
 from .bounds import LogProb
-from .probdist import (_BLOCK, ConditionalChannel, Distribution,
+from .probdist import (_BLOCK, ConditionalChannel, Distribution, _once,
                        _total_variation, statistical_distance)
 
 BLOCK_LEN_CAP = 16
@@ -65,11 +65,9 @@ class BernoulliSource:
     """IID bits with P(1) = 0.5 + bias."""
 
     bias: float
-    # block_len -> law, and block_len -> (thresholds, guide, crowded)
-    _laws: dict = field(default_factory=dict, init=False, repr=False,
+    # block_len -> law (see block_distribution)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         _within(self.bias, "bias", -0.5, 0.5)
@@ -81,11 +79,9 @@ class MarkovSource:
 
     transition: ConditionalChannel
     initial: Distribution
-    # block_len -> law, and block_len -> (thresholds, guide, crowded)
-    _laws: dict = field(default_factory=dict, init=False, repr=False,
+    # block_len -> law (see block_distribution)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         if self.transition.in_bits != 1 or self.transition.out_bits != 1:
@@ -100,13 +96,15 @@ SourceModel = BernoulliSource | MarkovSource
 def block_distribution(model: SourceModel, block_len: int) -> Distribution:
     """Exact law of one block under the model, built once per block_len.
 
-    The model keeps the law in ``_laws``, so later calls with the same
-    block length share one law; each model instance keeps its own, so
+    The model keeps the law (``probdist._once``), so later calls with the
+    same block length share one law; each model instance keeps its own, so
     equal sources whose biases differ in numeric type never share a law.
     """
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
-    if block_len in model._laws:
-        return model._laws[block_len]
+    return _once(model, block_len, lambda: _block_law(model, block_len))
+
+
+def _block_law(model: SourceModel, block_len: int) -> Distribution:
     if isinstance(model, BernoulliSource):
         # the Markov chain whose transition rows both equal the initial law
         p1 = 0.5 + model.bias
@@ -119,20 +117,13 @@ def block_distribution(model: SourceModel, block_len: int) -> Distribution:
         # index convention is MSB first, so the last emitted bit is idx & 1:
         # entry 2i + b is masses[i] * trans[i & 1, b]
         masses = (masses.reshape(-1, 2, 1) * trans).ravel()
-    model._laws[block_len] = Distribution(block_len, masses)
-    return model._laws[block_len]
+    return Distribution(block_len, masses)
 
 
-def _sampler_tables(model: SourceModel, block_len: int) -> tuple:
-    """(thresholds, guide, crowded) of a checked block_len, kept.
-
-    Built from the law on the first ``sample_blocks`` call for the block
-    length and kept read-only in the model's ``_tables``, so a caller
-    that only asks for the law never builds them.
-    """
-    if block_len in model._tables:
-        return model._tables[block_len]
-    cdf = np.cumsum(block_distribution(model, block_len).masses)
+def _sampler_tables(law: Distribution) -> tuple:
+    """(thresholds, guide, crowded) of a block law, each read-only."""
+    block_len = law.outcome_bits
+    cdf = np.cumsum(law.masses)
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
@@ -144,8 +135,7 @@ def _sampler_tables(model: SourceModel, block_len: int) -> tuple:
     guide = edges[:n_buckets].copy()
     for table in (thresholds, guide, crowded):
         table.flags.writeable = False
-    model._tables[block_len] = (thresholds, guide, crowded)
-    return model._tables[block_len]
+    return thresholds, guide, crowded
 
 
 @dataclass(frozen=True)
@@ -211,8 +201,8 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     T[guide[b]] finish by binary search.  Both find the number of
     T[j] <= m, so the values do not depend on the lookup.  T, ``guide``
     and ``crowded`` are built on the first call for a (model, block_len)
-    and kept by the model (``_sampler_tables``), about 1.6 MiB at 16 bits
-    beside the law's 0.5 MiB, so later calls go straight to the loop.
+    and kept by the block law (``_sampler_tables``), about 1.6 MiB at 16
+    bits beside the law's 0.5 MiB, so later calls go straight to the loop.
 
     Blocks are drawn one cache block (``probdist._BLOCK``) at a time
     through ``splitmix64``'s offset, an exact partition of the stream, so
@@ -221,7 +211,9 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     """
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     count = _integral(count, "count", 1)
-    thresholds, guide, crowded = _sampler_tables(model, block_len)
+    law = block_distribution(model, block_len)
+    thresholds, guide, crowded = _once(law, "sampler",
+                                       lambda: _sampler_tables(law))
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
     any_crowded = bool(crowded.any())
     values = np.empty(count, dtype=np.int64)

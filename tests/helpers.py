@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 
-from keysec import BitString, Distribution, JointDistribution
+from keysec import (BitString, DensityMatrix, Distribution, JointDistribution,
+                    Povm, measured_distance, overlap)
 
 
 def bitstring(bits):
@@ -62,3 +63,30 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def trace_product_batch(seed=19):
+    """``overlap`` and ``measured_distance`` of 100 random state pairs at
+    dimensions 2, 3, 4, 8 and 16, as ``float.hex`` strings.
+
+    Each state is a mixture of three outer products, scaled by its trace,
+    and the measurement is the Fourier basis, so building the inputs calls
+    no BLAS kernel (the PSD checks call LAPACK, but only to validate).
+    """
+    rng = np.random.default_rng(seed)
+
+    def mixed_state(dim):
+        vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        m = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.random(3), vecs))
+        return DensityMatrix(m / m.trace().real)
+
+    out = []
+    for dim in (2, 3, 4, 8, 16):
+        cols = np.exp(2j * np.pi * np.outer(np.arange(dim), np.arange(dim))
+                      / dim)
+        fourier = Povm([np.outer(c, c.conj()) / dim for c in cols])
+        for _ in range(20):
+            rho, sigma = mixed_state(dim), mixed_state(dim)
+            out += [overlap(rho, sigma).hex(),
+                    measured_distance(rho, sigma, fourier).hex()]
+    return out

@@ -658,6 +658,18 @@ class TestBlockwiseSum:
             assert _total_variation(a, b) == pytest.approx(exact, rel=1e-14,
                                                            abs=0)
 
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("r", [0, 1, _BLOCK // 2])
+    def test_odd_levels_within_the_pairwise_bound(self, k, r):
+        # k blocks, or k + 1 with a short last one: 3, 5 and 7 blocks, and
+        # 6 blocks halved to 3, are odd levels that pad with 0.0
+        n = k * _BLOCK + r
+        rng = np.random.default_rng(n)
+        a, b = rng.random(n), rng.random(n)
+        exact = math.fsum(np.abs(a - b))
+        bound = (math.ceil(math.log2(n)) + 1) * 2.0 ** -53 * exact
+        assert abs(probdist._difference_sum(a, b, np.abs) - exact) <= bound
+
     @pytest.mark.parametrize("r", [1, 7, 8, 10])
     def test_raveled_joints_match_the_2d_sum(self, r):
         # copy_vs_channel_gap passes its 2^r x 2^r joints raveled
@@ -842,6 +854,14 @@ class TestSummaryMemo:
             report = contradiction_report(p)
             assert (report.delta, report.maximal_mismatch) == (distance,
                                                                excess)
+
+    def test_spike_keeps_its_expansion_apart_from_its_layout(self):
+        # the spike's own queries read only its epsilon and outcome
+        spike = Distribution.spike(10, 1e-3, 7)
+        masses = spike.masses
+        assert spike.masses is masses and not masses.flags.writeable
+        assert spike.is_spike and spike._dense is None
+        assert spike.prob(7) == masses[7]
 
     def test_second_distance_runs_no_kernel(self, monkeypatch):
         p = random_distribution(np.random.default_rng(3), 12)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_distribution
+import keysec
+from helpers import random_distribution, trace_product_batch
 from keysec import (DensityMatrix, Povm, helstrom_min_error,
                     measured_distance, overlap, statistical_distance,
                     trace_distance_q)
@@ -183,6 +188,13 @@ class TestPovm:
         e[0, 0] = 9.0
         assert povm.elements[0].tolist() == [[0.5, 1e-12j], [0.0, 0.5]]
         assert povm.elements[1].tolist() == [[0.5, -1e-12j], [0.0, 0.5]]
+
+    def test_elements_are_read_only(self):
+        povm = Povm.computational_basis(2)
+        with pytest.raises(ValueError, match="read-only"):
+            povm.elements[0][0, 0] = 5.0
+        assert measured_distance(DensityMatrix.maximally_mixed(2),
+                                 DensityMatrix([[1, 0], [0, 0]]), povm) == 0.5
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError, match="capped"):
@@ -375,6 +387,23 @@ class TestOverlap:
         assert overlap(DensityMatrix.diagonal(p),
                        DensityMatrix.diagonal(q)) == pytest.approx(
             float((p.masses * q.masses).sum()), abs=1e-12)
+
+
+def test_trace_products_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks a kernel for the CPU when numpy loads, and
+    # OPENBLAS_CORETYPE overrides that pick for one process; Tr(AB) is
+    # summed by numpy, so another kernel must print the same digits
+    src = str(Path(keysec.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, str(Path(__file__).parent),
+                   os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from helpers import trace_product_batch as b; print(*b())"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == trace_product_batch()
 
 
 class TestFileFormat:

@@ -200,6 +200,16 @@ class TestBuiltOnce:
         model = BernoulliSource(1e-4)
         assert block_distribution(model, 16) is block_distribution(model, 16.0)
 
+    def test_model_keeps_laws_and_law_keeps_tables(self):
+        # one private field per model; the tables are the law's own
+        for cls in (BernoulliSource, MarkovSource):
+            assert [f.name for f in dataclasses.fields(cls)
+                    if f.name.startswith("_")] == ["_memo"]
+        model = BernoulliSource(1e-4)
+        sample_blocks(model, 6, 10, seed=1)
+        assert list(model._memo) == [6]
+        assert list(block_distribution(model, 6)._memo) == ["sampler"]
+
     def test_law_alone_keeps_its_masses(self):
         # the sampler tables (about 1.6 MiB at 16 bits) wait for the first
         # sample_blocks call, so the model keeps the law's 512 KiB and
