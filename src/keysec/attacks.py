@@ -78,10 +78,14 @@ def ciphertext_only_attack(c: BitString, p_x: Distribution,
             np.multiply(key_masses[lo:lo + m], plain_masses[0], out=buf)
         else:
             start = lo ^ c_high
+            block = plain_masses[start:start + m]
+            # the gather reads the block in k xor c order, which the
+            # hardware prefetcher cannot follow; one pass in address
+            # order first brings the block into cache for it
+            block.max()
             # every index is in range; with the default mode="raise",
             # np.take copies through a hidden buffer
-            np.take(plain_masses[start:start + m], cols, out=buf,
-                    mode="clip")
+            np.take(block, cols, out=buf, mode="clip")
             np.multiply(buf, key_masses[lo:lo + m], out=buf)
         j = int(buf.argmax())
         if buf[j] > map_mass:  # strictly, so ties keep the lowest index

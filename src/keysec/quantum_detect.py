@@ -74,9 +74,10 @@ class DensityMatrix:
         if top == 0.0:
             raise ValueError("state vector must be nonzero")
         # an exact power of two brings the largest part into [0.5, 1), so
-        # the squared norm can neither underflow nor overflow
-        v = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
-        v = v / np.linalg.norm(v)
+        # the squared norm can neither underflow nor overflow; it is summed
+        # by numpy, not by a BLAS dot kernel that differs per CPU
+        parts = np.ldexp(parts, -np.frexp(top)[1])
+        v = parts.view(complex) / np.sqrt((parts * parts).sum())
         return cls(np.outer(v, v.conj()))
 
     @classmethod

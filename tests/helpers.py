@@ -67,7 +67,9 @@ def traced_peak(call):
 
 def trace_product_batch(seed=19):
     """``overlap`` and ``measured_distance`` of 100 random state pairs at
-    dimensions 2, 3, 4, 8 and 16, as ``float.hex`` strings.
+    dimensions 2, 3, 4, 8 and 16, then the entries of ``DensityMatrix.pure``
+    of 5 random complex vectors at each dimension 2 to 16, as ``float.hex``
+    strings.
 
     Each state is a mixture of three outer products, scaled by its trace,
     and the measurement is the Fourier basis, so building the inputs calls
@@ -89,4 +91,8 @@ def trace_product_batch(seed=19):
             rho, sigma = mixed_state(dim), mixed_state(dim)
             out += [overlap(rho, sigma).hex(),
                     measured_distance(rho, sigma, fourier).hex()]
+    for dim in range(2, 17):
+        for _ in range(5):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            out += [x.hex() for x in DensityMatrix.pure(v).mat.view(float).flat]
     return out

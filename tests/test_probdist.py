@@ -697,6 +697,27 @@ class TestStreamedKernels:
             assert report.map_posterior == float(row[j] / float(row.sum()))
             assert report.avg_success == float(p_k.masses.max())
 
+    @pytest.mark.parametrize("l", [13, 14, 15, 20])
+    def test_ciphertext_only_gather_within_and_across_blocks(self, l):
+        # low bits of c permute within a plaintext block, high bits pick it
+        rng = np.random.default_rng(100 + l)
+        n = 1 << l
+        high = (n - 1) & -_BLOCK
+        lows = (0x3FFF, 0x2AAA, 0x1555, 1, 1 << 13)
+        cs = {(int(rng.integers(n)) & high | low) & (n - 1) for low in lows}
+        if high:
+            cs.add(int(rng.integers(1, n // _BLOCK)) * _BLOCK)
+        p_k = random_distribution(rng, l)
+        for p_x in (random_distribution(rng, l),
+                    random_distribution(rng, l, zero_outcomes=n // 4)):
+            for c in sorted(cs):
+                row = p_k.masses * p_x.masses[np.arange(n) ^ c]
+                j = int(np.argmax(row))
+                report = ciphertext_only_attack(BitString.from_index(c, l),
+                                                p_x, p_k)
+                assert report.map_guess.to_index() == j
+                assert report.map_posterior == float(row[j] / float(row.sum()))
+
     @pytest.mark.parametrize("l", [15, 20])
     def test_map_tie_across_blocks_goes_to_lowest_index(self, l):
         rng = np.random.default_rng(l)
