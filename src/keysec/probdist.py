@@ -89,9 +89,9 @@ class Distribution:
     expressions used by ``expand_dense``, so both forms answer ``prob``
     identically bit for bit.
 
-    As its masses are read-only, a dense law computes its maximum mass, its
-    distance from the uniform law and its excess over it on the first query
-    and keeps them, as a spike keeps its expansion (see ``_once``).
+    As its masses are read-only, a dense law computes its maximum mass and
+    ``statistical_distance(self, uniform)`` on the first query and keeps
+    them, as a spike keeps its expansion (see ``_once``).
     """
 
     __slots__ = ("outcome_bits", "_dense", "_spike", "_memo")
@@ -261,8 +261,6 @@ def statistical_distance(p: Distribution, q: Distribution) -> float:
     _check_same_space(p, q)
     if p.is_spike and q.is_spike:
         return _spike_pair_distance(p, q)
-    if _is_uniform(p):
-        p, q = q, p  # |u - p| and |p - u| are the same float
     if _is_uniform(q):  # so p is dense
         return _once(p, "distance",
                      lambda: _total_variation(p.masses, q.masses))
@@ -322,12 +320,8 @@ def _excess(p: Distribution, q: Distribution) -> float:
     """sum_x (p(x) - q(x))^+, the off-diagonal mass of the maximal coupling."""
     if p.is_spike and q.is_spike:
         return _spike_pair_distance(p, q)  # that same sum, in closed form
-
-    def kernel():
-        return _difference_sum(p.masses, q.masses,
-                               lambda d, out: np.maximum(d, 0.0, out=out))
-
-    return _once(p, "excess", kernel) if _is_uniform(q) else kernel()
+    return _difference_sum(p.masses, q.masses,
+                           lambda d, out: np.maximum(d, 0.0, out=out))
 
 
 def guessing_probability(p: Distribution) -> float:
@@ -375,10 +369,20 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+def _unique_fields(pairs: list) -> dict:
+    doc = {}
+    for field, value in pairs:
+        if field in doc:  # json.loads alone would keep the last one
+            raise ValueError(f"field {field!r} appears twice")
+        doc[field] = value
+    return doc
+
+
 def _read_document(text: str, kind: str, *fields: str) -> dict:
-    """Parse a JSON object carrying ``fields``; NaN and Infinity are refused."""
+    """Parse a JSON object with ``fields``, each once; no NaN or Infinity."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant,
+                         object_pairs_hook=_unique_fields)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
     if not isinstance(doc, dict) or any(f not in doc for f in fields):
@@ -409,26 +413,24 @@ def _json_numbers(values, what: str) -> list:
 def loads_distribution(text: str) -> Distribution:
     doc = _read_document(text, "distribution", "outcome_bits")
     bits = _json_size(doc, "outcome_bits")
+    if ("masses" in doc) == ("spike" in doc):
+        raise ValueError("exactly one of masses and spike is required")
     if "masses" in doc:
         return Distribution(bits, _json_numbers(doc["masses"], "masses"))
-    if "spike" in doc:
-        spike = doc["spike"]
-        if not isinstance(spike, dict) or \
-                not isinstance(spike.get("outcome"), str):
-            raise ValueError("spike must be a JSON object with a bitstring "
-                             "outcome and a number epsilon")
-        eps = spike.get("epsilon")
-        if not _is_json_number(eps):
-            raise ValueError(f"epsilon must be a JSON number, got {eps!r}")
-        # read directly, so any length passes that Distribution.spike takes
-        outcome = spike["outcome"]
-        if not set(outcome) <= {"0", "1"}:  # int(, 2) alone takes "0b1", "+1"
-            raise ValueError(f"not a bitstring literal: {outcome!r}")
-        if len(outcome) != bits:
-            raise ValueError(
-                f"outcome has {len(outcome)} bits, expected {bits}")
-        return Distribution.spike(bits, eps, int(outcome or "0", 2))
-    raise ValueError("distribution file needs either masses or spike")
+    spike = doc["spike"]
+    if not isinstance(spike, dict) or not isinstance(spike.get("outcome"), str):
+        raise ValueError("spike must be a JSON object with a bitstring "
+                         "outcome and a number epsilon")
+    eps = spike.get("epsilon")
+    if not _is_json_number(eps):
+        raise ValueError(f"epsilon must be a JSON number, got {eps!r}")
+    # read directly, so any length passes that Distribution.spike takes
+    outcome = spike["outcome"]
+    if not set(outcome) <= {"0", "1"}:  # int(, 2) alone takes "0b1", "+1"
+        raise ValueError(f"not a bitstring literal: {outcome!r}")
+    if len(outcome) != bits:
+        raise ValueError(f"outcome has {len(outcome)} bits, expected {bits}")
+    return Distribution.spike(bits, eps, int(outcome or "0", 2))
 
 
 def save_distribution(dist: Distribution, path: str | os.PathLike) -> None:

@@ -255,12 +255,7 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
 
 def empirical_distance(s: SampleSet) -> float:
     """Distance of the observed block frequencies from exact uniform."""
-    return _counts_distance(s, s.counts())
-
-
-def _counts_distance(s: SampleSet, counts: np.ndarray) -> float:
-    return _total_variation(counts / s.count,
-                            Distribution.uniform(s.block_len).masses)
+    return uniformity_failure_report(s).empirical_delta
 
 
 @dataclass(frozen=True)
@@ -285,7 +280,8 @@ def uniformity_failure_report(s: SampleSet) -> UniformityReport:
     if s.count % n_outcomes == 0:
         exactly_uniform = bool(np.all(counts == s.count // n_outcomes))
     return UniformityReport(
-        empirical_delta=_counts_distance(s, counts),
+        empirical_delta=_total_variation(
+            counts / s.count, Distribution.uniform(s.block_len).masses),
         exactly_uniform=exactly_uniform,
         independent_failure=LogProb.one_minus_pow2(s.block_len),
     )

@@ -130,3 +130,18 @@ def test_deep_nesting_refused(kind):
 def test_integers_past_the_float_range_refused(loader, text):
     with pytest.raises(ValueError, match="JSON numbers"):
         loader(text)
+
+
+# json.loads alone keeps the last of two equal fields
+@pytest.mark.parametrize("loader, text, field", [
+    (loads_distribution, '{"outcome_bits": 1, "masses": [1, 0], '
+                         '"masses": [0.5, 0.5]}', "masses"),
+    (loads_distribution, '{"outcome_bits": 1, "spike": {"outcome": "1", '
+                         '"epsilon": 0.9, "epsilon": 0.1}}', "epsilon"),
+    (loads_matrix, '{"dim": 2, "dim": 1, "entries": [[1, 0]]}', "dim"),
+    (loads_povm, '{"dim": 1, "elements": [[[0.5, 0]], [[0.5, 0]]], '
+                 '"elements": [[[1, 0]]]}', "elements"),
+], ids=["distribution", "spike", "matrix", "POVM"])
+def test_repeated_field_refused(loader, text, field):
+    with pytest.raises(ValueError, match=f"field '{field}' appears twice"):
+        loader(text)

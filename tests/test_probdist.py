@@ -28,6 +28,15 @@ def masses_strategy(bits):
                     max_size=n).map(lambda w: np.array(w) / np.sum(w))
 
 
+def laws_strategy(bits):
+    """A dense, spike or uniform law over ``bits``-bit outcomes."""
+    dense = st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: random_distribution(np.random.default_rng(seed), bits))
+    spike = st.builds(Distribution.spike, st.just(bits), st.floats(0, 1),
+                      st.integers(0, (1 << bits) - 1))
+    return st.one_of(dense, spike, st.just(Distribution.uniform(bits)))
+
+
 class TestDistributionConstruction:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="negative"):
@@ -325,7 +334,17 @@ class TestStatisticalDistance:
         q = Distribution(2, wq)
         d = statistical_distance(p, q)
         assert 0.0 <= d <= 1.0
-        assert d == pytest.approx(statistical_distance(q, p), abs=1e-15)
+        assert d == statistical_distance(q, p)
+
+    @given(st.integers(0, 12).flatmap(
+        lambda l: st.tuples(laws_strategy(l), laws_strategy(l))))
+    def test_symmetric_bit_for_bit(self, pair):
+        # |p - q| and |q - p| are the same float, so a law keeps its
+        # distance from uniform in one argument order only
+        p, q = pair
+        d = statistical_distance(p, q)
+        assert statistical_distance(q, p) == d
+        assert statistical_distance(p, q) == d
 
     @given(masses_strategy(2), masses_strategy(2), masses_strategy(2))
     def test_triangle_inequality(self, wp, wq, wr):
@@ -601,7 +620,7 @@ class TestFileFormat:
         assert "5.0000000000000000e-01" in u
 
     def test_malformed_document(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one of masses"):
             loads_distribution('{"outcome_bits": 2}')
         with pytest.raises(ValueError):
             loads_distribution('[1, 2, 3]')
@@ -855,7 +874,12 @@ def count_kernel_calls(monkeypatch):
 
 
 class TestSummaryMemo:
-    """A dense law keeps its maximum, distance and excess from uniform."""
+    """A dense law keeps its maximum and its distance from uniform.
+
+    The distance is kept in the ``(p, uniform)`` order only; the excess
+    behind ``maximal_mismatch`` and the ``(uniform, p)`` distance run the
+    kernel on every call, and give the same floats.
+    """
 
     @pytest.mark.parametrize("l", [1, 2, 7, 14, 15, 16, 20])
     @pytest.mark.parametrize("uniform_first", [False, True])
@@ -891,11 +915,16 @@ class TestSummaryMemo:
         first = statistical_distance(p, u)
         assert len(calls) == 1
         assert statistical_distance(p, Distribution.uniform(12)) == first
-        assert statistical_distance(u, p) == first
-        maximal_mismatch(p, u)
-        maximal_mismatch(p, u)
         contradiction_report(p)
-        assert len(calls) == 2  # one distance and one excess pass in all
+        assert len(calls) == 2  # the report's excess pass alone
+        # the other order and the excess run the kernel every time
+        for n in (3, 4):
+            assert statistical_distance(u, p) == first
+            assert len(calls) == n
+        excess = maximal_mismatch(p, u)
+        for n in (6, 7):
+            assert maximal_mismatch(p, u) == excess
+            assert len(calls) == n
 
     def test_equal_laws_keep_their_own(self, monkeypatch):
         w = np.random.default_rng(4).random(1 << 10)
@@ -903,11 +932,22 @@ class TestSummaryMemo:
         assert p.masses.tobytes() == q.masses.tobytes()
         u = Distribution.uniform(10)
         statistical_distance(p, u)
-        maximal_mismatch(p, u)
         calls = count_kernel_calls(monkeypatch)
         assert statistical_distance(q, u) == statistical_distance(p, u)
-        assert maximal_mismatch(q, u) == maximal_mismatch(p, u)
-        assert len(calls) == 2
+        assert len(calls) == 1  # q's own pass; p reads the one it keeps
+        assert statistical_distance(q, u) == statistical_distance(p, u)
+        assert len(calls) == 1
+
+    def test_memo_layout(self):
+        p = random_distribution(np.random.default_rng(6), 10)
+        u = Distribution.uniform(10)
+        contradiction_report(p)
+        assert set(p._memo) == {"distance"}
+        guessing_probability(p)
+        assert set(p._memo) == {"distance", "max"}
+        maximal_mismatch(p, u)
+        statistical_distance(u, p)
+        assert set(p._memo) == {"distance", "max"}
 
     def test_other_pairs_are_not_kept(self, monkeypatch):
         rng = np.random.default_rng(5)
