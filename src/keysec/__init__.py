@@ -18,8 +18,7 @@ from .bounds import (EfficiencyReport, FiniteKeyParams, LeakageProfile,
 from .coupling import (ContradictionReport, CopyChannelGap, Coupling,
                        contradiction_report, copy_vs_channel_gap,
                        independent_coupling_failure, maximal_coupling,
-                       maximal_mismatch, min_mismatch_oracle,
-                       mismatch_probability)
+                       maximal_mismatch, min_mismatch_oracle)
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
                        conditional_guessing_probability, guessing_probability,
                        load_distribution, save_distribution,

@@ -3,74 +3,53 @@
 A coupling of (p, q) is a joint distribution whose marginals are p and q.
 Over all couplings the mismatch Pr[X != Y] is bounded below by the total
 variation distance, with equality achieved by the maximal coupling built
-here; an exact linear-program oracle provides independent confirmation at
+here.  That coupling is its diagonal min(p, q) plus one rank-one term, so
+it is held as three vectors of 2^l masses, never as a 2^l x 2^l matrix;
+an exact linear-program oracle provides independent confirmation at
 small support sizes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import LinearConstraint, milp
 
 from .bounds import LogProb
-from .probdist import (ConditionalChannel, Distribution, JointDistribution,
-                       _check_same_space, _excess, _total_variation,
-                       statistical_distance)
+from .probdist import (ConditionalChannel, Distribution, _check_same_space,
+                       _excess, _total_variation, statistical_distance)
 
 ORACLE_SUPPORT_CAP = 6
-MARGINAL_TOLERANCE = 1e-9
-# maximal_coupling's 2^l x 2^l joint is 128 MiB of float64 at 12 bits, and
-# JointDistribution keeps its own copy, so the call peaks near 256 MiB
-COUPLING_BITS_CAP = 12
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint distribution over (X, Y) with declared marginals p and q."""
+    """The maximal coupling of ``declared_p`` and ``declared_q``.
 
-    joint: JointDistribution
+    Entry (x, x) is ``overlap[x]`` = min(p(x), q(x)); entry (x, y) with
+    x != y is ``excess_p[x] * excess_q[y] / delta``, where excess_p =
+    (p - q)^+, excess_q = (q - p)^+ and delta = ``excess_p.sum()``.  For
+    a pair that is not two spikes, delta is ``maximal_mismatch(p, q)``
+    bit for bit wherever that is below 1.  excess_p * excess_q is zero
+    everywhere, so the rank-one term adds nothing to the diagonal.  The
+    three arrays are read-only.
+    """
+
     declared_p: Distribution
     declared_q: Distribution
-
-    def __post_init__(self):
-        j = self.joint
-        if j.x_bits != j.y_bits:
-            raise ValueError("coupling requires x_bits == y_bits")
-        if (self.declared_p.outcome_bits != j.x_bits
-                or self.declared_q.outcome_bits != j.y_bits):
-            raise ValueError("declared marginals do not match the joint's spaces")
-        row = j.masses.sum(axis=1)
-        col = j.masses.sum(axis=0)
-        if np.abs(row - self.declared_p.masses).max() > MARGINAL_TOLERANCE:
-            raise ValueError("row marginal deviates from declared_p")
-        if np.abs(col - self.declared_q.masses).max() > MARGINAL_TOLERANCE:
-            raise ValueError("column marginal deviates from declared_q")
-
-
-def mismatch_probability(c: Coupling) -> float:
-    """Pr[X != Y], the joint's off-diagonal mass, capped at 1.
-
-    Summed directly, not as the cancelling 1 - trace.  Past the first
-    flat entry every run of n + 1 entries ends on a diagonal one, so
-    ``off`` is a strided view of exactly the off-diagonal entries and a
-    12-bit joint (128 MiB) is never copied.
-    """
-    masses = c.joint.masses
-    n = masses.shape[0]
-    off = masses.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-    return min(1.0, math.fsum(off.sum(axis=1)))
+    overlap: np.ndarray
+    excess_p: np.ndarray
+    excess_q: np.ndarray
 
 
 def maximal_mismatch(p: Distribution, q: Distribution) -> float:
     """Pr[X != Y] under ``maximal_coupling(p, q)``: its off-diagonal mass.
 
     That is the excess sum_x (p(x) - q(x))^+ the coupling normalizes by,
-    so it needs no 2^l x 2^l joint law and no cancelling 1 - sum_x
-    min(p, q); ``probdist`` sums it over the masses up to the dense cap
-    and in closed form above it.
+    so it needs no coupling and no cancelling 1 - sum_x min(p, q);
+    ``probdist`` sums it over the masses up to the dense cap and in
+    closed form above it.  The one way keysec computes the mismatch.
     """
     _check_same_space(p, q)
     return min(1.0, _excess(p, q))
@@ -79,37 +58,27 @@ def maximal_mismatch(p: Distribution, q: Distribution) -> float:
 def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
     """Coupling achieving Pr[X != Y] = statistical_distance(p, q).
 
-    Diagonal entries take min(p(x), q(x)); the leftover masses
-    (p - q)+ and (q - p)+ are paired off-diagonally via their outer
-    product normalized by the total variation distance.  When p = q the
-    residual vanishes and the coupling is purely diagonal.  Capped at
-    12-bit laws; ``maximal_mismatch`` needs no joint and has no cap.
+    Three vectors of 2^l masses, O(2^l) to build at any dense size; see
+    ``Coupling`` for its entries.  When p = q both excesses vanish and
+    the coupling is purely diagonal.
     """
     _check_same_space(p, q)
-    if p.outcome_bits > COUPLING_BITS_CAP:
-        raise ValueError(f"maximal coupling capped at {COUPLING_BITS_CAP} "
-                         f"bits, got {p.outcome_bits}")
     a, b = p.masses, q.masses
     overlap = np.minimum(a, b)
-    excess_p = a - overlap
-    excess_q = b - overlap
-    delta = float(excess_p.sum())
-    joint = np.outer(excess_p, excess_q)  # all zero when delta is
-    if delta > 0.0:
-        joint /= delta
-    joint.flat[::len(a) + 1] += overlap
-    return Coupling(JointDistribution(p.outcome_bits, q.outcome_bits, joint),
-                    p, q)
+    parts = overlap, a - overlap, b - overlap
+    for part in parts:
+        part.flags.writeable = False
+    return Coupling(p, q, *parts)
 
 
 def min_mismatch_oracle(p: Distribution, q: Distribution) -> float:
     """Minimum of Pr[X != Y] over all couplings of (p, q).
 
-    Solves the transportation linear program with mismatch cost directly,
-    independently of the explicit construction in ``maximal_coupling``.
-    HiGHS solves it in floating point, so it matches the distance to
-    within solver tolerance, not bit for bit.  Restricted to supports of
-    at most 6 outcomes.
+    Solves the transportation linear program with mismatch cost over all
+    couplings, independently of ``maximal_coupling``'s closed form and of
+    ``maximal_mismatch``.  HiGHS solves it in floating point, so it
+    matches the distance and that mismatch within solver tolerance, not
+    bit for bit.  Restricted to supports of at most 6 outcomes.
     """
     _check_same_space(p, q)
     a, b = p.masses, q.masses

@@ -300,8 +300,8 @@ def _difference_sum(a, b, term) -> float:
 
 
 def _total_variation(a, b) -> float:
-    # (1/2) sum |a - b|, the one dense distance
-    return 0.5 * _difference_sum(a, b, np.abs)
+    # (1/2) sum |a - b|, the one dense distance; capped, as rounding can pass 1
+    return min(1.0, 0.5 * _difference_sum(a, b, np.abs))
 
 
 def _spike_pair_distance(p: Distribution, q: Distribution) -> float:

@@ -149,9 +149,9 @@ def _trace_norm(mat: np.ndarray) -> float:
 
 
 def trace_distance_q(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) sum |eigenvalues of (rho - sigma)|."""
+    """(1/2) sum |eigenvalues of (rho - sigma)|, capped at 1."""
     _check_dims(rho, sigma)
-    return float(0.5 * _trace_norm(rho.mat - sigma.mat))
+    return min(1.0, float(0.5 * _trace_norm(rho.mat - sigma.mat)))
 
 
 def helstrom_min_error(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -159,12 +159,13 @@ def helstrom_min_error(rho1: DensityMatrix, rho2: DensityMatrix,
     """Minimum error probability discriminating rho1 (prior1) vs rho2.
 
     (1/2)(1 - ||prior1 rho1 - (1 - prior1) rho2||_1); at equal priors
-    this is (1/2)(1 - trace_distance_q).
+    this is (1/2)(1 - trace_distance_q).  Rounding can carry the norm of
+    orthogonal states past 1, so the error is floored at 0.
     """
     _check_dims(rho1, rho2)
     _within(prior1, "prior", 0, 1)
     weighted = prior1 * rho1.mat - (1.0 - prior1) * rho2.mat
-    return float(0.5 * (1.0 - _trace_norm(weighted)))
+    return max(0.0, float(0.5 * (1.0 - _trace_norm(weighted))))
 
 
 def measured_distance(rho: DensityMatrix, sigma: DensityMatrix,

@@ -1,15 +1,15 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import product_joint, random_distribution, traced_peak
-from keysec import (ConditionalChannel, ContradictionReport, Coupling,
-                    Distribution, JointDistribution, contradiction_report,
-                    copy_vs_channel_gap, independent_coupling_failure,
-                    maximal_coupling, min_mismatch_oracle,
-                    mismatch_probability, statistical_distance)
+from keysec import (ConditionalChannel, ContradictionReport, Distribution,
+                    contradiction_report, copy_vs_channel_gap,
+                    independent_coupling_failure, maximal_coupling,
+                    min_mismatch_oracle, statistical_distance)
 from keysec import coupling, maximal_mismatch
 
 
@@ -28,97 +28,104 @@ def spike_mismatch_oracle(l, e1, i1, e2, i2):
         return 1 - agree
 
 
-def random_coupling(rng, bits):
-    """Random joint; declared marginals are its own row/column sums."""
-    n = 1 << bits
-    weights = rng.random((n, n)) ** 2
-    weights /= weights.sum()
-    joint = JointDistribution(bits, bits, weights)
-    return Coupling(joint, Distribution(bits, weights.sum(axis=1)),
-                    Distribution(bits, weights.sum(axis=0)))
+def off_diagonal_mass(c):
+    """Pr[X != Y] under c: sum over x != y of excess_p(x) excess_q(y) / delta.
+
+    delta is sum excess_p and excess_p * excess_q is zero, so the sum over
+    all x and y, sum excess_q, is all off the diagonal.
+    """
+    return float(c.excess_q.sum())
 
 
-class TestCouplingType:
-    def test_marginals_enforced(self):
-        joint = JointDistribution(1, 1, [[0.5, 0.0], [0.0, 0.5]])
-        uniform = Distribution.uniform(1)
-        Coupling(joint, uniform, uniform)  # valid
-        skewed = Distribution(1, [0.9, 0.1])
-        with pytest.raises(ValueError, match="marginal"):
-            Coupling(joint, skewed, uniform)
+def marginals(c):
+    """The row and column sums of c, in closed form from its parts."""
+    delta = c.excess_p.sum()
+    if delta == 0.0:  # the rank-one term is zero
+        return c.overlap, c.overlap
+    # each row x adds excess_p(x) sum excess_q / delta; each column y adds
+    # excess_q(y) sum excess_p / delta, which is excess_q(y)
+    return (c.overlap + c.excess_p * (c.excess_q.sum() / delta),
+            c.overlap + c.excess_q)
 
-    def test_requires_square(self):
-        joint = JointDistribution(1, 2, np.full((2, 4), 0.125))
-        with pytest.raises(ValueError, match="x_bits == y_bits"):
-            Coupling(joint, Distribution.uniform(1), Distribution.uniform(2))
 
-    @pytest.mark.parametrize("bits_p, bits_q", [(2, 1), (1, 2)])
-    def test_declared_bits_match_the_joint(self, bits_p, bits_q):
-        joint = JointDistribution(1, 1, np.full((2, 2), 0.25))
-        with pytest.raises(ValueError, match="declared marginals"):
-            Coupling(joint, Distribution.uniform(bits_p),
-                     Distribution.uniform(bits_q))
+@st.composite
+def dense_laws(draw, bits):
+    """A random dense law, or a spike expanded to its 2^bits masses."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        zeros = draw(st.integers(0, (1 << bits) - 1))
+        return random_distribution(rng, bits, zero_outcomes=zeros)
+    eps = draw(st.sampled_from([0.0, 1.0, 1e-12, 0.5]) | st.floats(0, 1))
+    index = draw(st.integers(0, (1 << bits) - 1))
+    return Distribution.spike(bits, eps, index).expand_dense()
 
-    def test_column_marginal_enforced(self):
-        joint = JointDistribution(1, 1, [[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="column marginal"):
-            Coupling(joint, Distribution.uniform(1),
-                     Distribution(1, [0.9, 0.1]))
+
+@st.composite
+def dense_pairs(draw):
+    bits = draw(st.integers(0, 12))
+    return draw(dense_laws(bits)), draw(dense_laws(bits))
 
 
 class TestMismatchProbability:
     def test_identity_coupling_is_zero(self):
         p = Distribution(1, [0.75, 0.25])
-        assert mismatch_probability(maximal_coupling(p, p)) == 0.0
+        assert maximal_mismatch(p, p) == 0.0
+        assert off_diagonal_mass(maximal_coupling(p, p)) == 0.0
 
     def test_independent_uniform_bits(self):
+        # an independent copy of a uniform bit differs half the time; the
+        # maximal coupling of the same pair never does
         u = Distribution.uniform(1)
-        c = Coupling(product_joint(u, u), u, u)
-        assert mismatch_probability(c) == 0.5
+        joint = product_joint(u, u).masses
+        assert joint.sum() - np.trace(joint) == 0.5
+        assert independent_coupling_failure(1).value == 0.5
+        assert maximal_mismatch(u, u) == 0.0
 
     def test_maximal_example(self):
-        c = maximal_coupling(Distribution(1, [0.5, 0.5]),
-                             Distribution(1, [0.75, 0.25]))
-        assert mismatch_probability(c) == pytest.approx(0.25, abs=1e-12)
+        p, q = Distribution(1, [0.5, 0.5]), Distribution(1, [0.75, 0.25])
+        assert maximal_mismatch(p, q) == pytest.approx(0.25, abs=1e-12)
+        assert off_diagonal_mass(maximal_coupling(p, q)) == \
+            pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("l", range(0, 9))
     def test_off_diagonal_mass_against_fraction(self, l):
-        # 1 - trace cancels: at 8 bits the spike pair gave 9.9609e-13
+        # 1 - sum overlap cancels: at 8 bits the spike pair gave 9.9609e-13
         # beside an exact off-diagonal mass of 9.9607e-13
         rng = np.random.default_rng(l)
         pairs = [(Distribution.spike(l, 1e-12, 3 % (1 << l)).expand_dense(),
                   Distribution.uniform(l)),
                  (random_distribution(rng, l), random_distribution(rng, l))]
         for p, q in pairs:
-            c = maximal_coupling(p, q)
-            joint = c.joint.masses
-            exact = (sum(map(Fraction, joint.ravel().tolist()))
-                     - sum(map(Fraction, np.diag(joint).tolist())))
-            got = mismatch_probability(c)
-            assert abs(Fraction(got) - exact) <= \
-                (2 * l + 2) * Fraction(2) ** -53 * exact
+            a, b = (list(map(Fraction, r.masses.tolist())) for r in (p, q))
+            for got, x, y in [(maximal_mismatch(p, q), a, b),
+                              (off_diagonal_mass(maximal_coupling(p, q)), b, a)]:
+                exact = sum(max(s - t, 0) for s, t in zip(x, y))
+                assert abs(Fraction(got) - exact) <= \
+                    (2 * l + 2) * Fraction(2) ** -53 * exact
 
     def test_joint_is_never_copied_whole(self):
-        c = maximal_coupling(Distribution.spike(10, 1e-3, 5).expand_dense(),
-                             Distribution.uniform(10))
-        _, peak = traced_peak(lambda: mismatch_probability(c))
-        assert peak < 1 << 20  # the joint is 8 MiB
+        p = Distribution.spike(10, 1e-3, 5).expand_dense()
+        q = Distribution.uniform(10)
+        for call in (maximal_coupling, maximal_mismatch):
+            _, peak = traced_peak(lambda: call(p, q))
+            assert peak < 1 << 20  # the joint would be 8 MiB
 
 
 class TestMaximalCoupling:
     def test_equal_inputs_diagonal(self):
-        p = Distribution(2, [0.5, 0.25, 0.125, 0.125])
-        c = maximal_coupling(p, p)
-        off_diag = c.joint.masses - np.diag(np.diag(c.joint.masses))
-        assert np.all(off_diag == 0.0)
-        assert mismatch_probability(c) == 0.0
-        q = Distribution(2, [0.4, 0.3, 0.2, 0.1])
-        assert mismatch_probability(maximal_coupling(q, q)) <= 1e-12
+        for p in (Distribution(2, [0.5, 0.25, 0.125, 0.125]),
+                  Distribution(2, [0.4, 0.3, 0.2, 0.1])):
+            c = maximal_coupling(p, p)
+            assert not c.excess_p.any() and not c.excess_q.any()
+            assert c.overlap.tobytes() == p.masses.tobytes()
+            assert maximal_mismatch(p, p) == 0.0
 
     def test_disjoint_supports(self):
         p = Distribution(1, [1.0, 0.0])
         q = Distribution(1, [0.0, 1.0])
-        assert mismatch_probability(maximal_coupling(p, q)) == 1.0
+        c = maximal_coupling(p, q)
+        assert not c.overlap.any()
+        assert maximal_mismatch(p, q) == off_diagonal_mass(c) == 1.0
 
     def test_achieves_distance(self):
         rng = np.random.default_rng(13)
@@ -127,42 +134,36 @@ class TestMaximalCoupling:
             p = random_distribution(rng, bits)
             q = random_distribution(rng, bits)
             c = maximal_coupling(p, q)
-            assert mismatch_probability(c) == pytest.approx(
+            assert off_diagonal_mass(c) == pytest.approx(
                 statistical_distance(p, q), abs=1e-12)
 
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="differ"):
             maximal_coupling(Distribution.uniform(1), Distribution.uniform(2))
 
-    @pytest.mark.parametrize("bits", [13, 20])
-    def test_cap_refuses_before_allocating(self, bits):
-        # the joint would be 2^(2 bits) doubles: 512 MiB at 13, 8 TiB at 20
-        p = Distribution.spike(bits, 1e-3, 5)
-        q = Distribution.spike(bits, 1e-6, 9)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="capped at 12 bits"):
-                maximal_coupling(p, q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    @pytest.mark.parametrize("bits", [7, 10])
-    def test_peak_is_two_joints(self, bits):
-        # the joint and JointDistribution's copy of it: 17 MiB at 10 bits
+    @pytest.mark.parametrize("bits", [10, 20])
+    def test_peak_is_three_vectors(self, bits):
+        # overlap, excess_p and excess_q: 24 MiB at 20 bits, where the
+        # 2^bits x 2^bits joint would be 8 TiB
         rng = np.random.default_rng(bits)
         p, q = random_distribution(rng, bits), random_distribution(rng, bits)
-        _, peak = traced_peak(lambda: maximal_coupling(p, q))
-        assert peak <= 2.125 * 8 * 4 ** bits
+        c, peak = traced_peak(lambda: maximal_coupling(p, q))
+        assert peak <= 3.25 * 8 * 2 ** bits
+        assert c.excess_p.sum() == maximal_mismatch(p, q)
 
-    def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(coupling, "COUPLING_BITS_CAP", 2)
-        p, q = Distribution.uniform(2), Distribution(2, [0.4, 0.3, 0.2, 0.1])
-        assert mismatch_probability(maximal_coupling(p, q)) == \
-            pytest.approx(statistical_distance(p, q), abs=1e-15)
-        with pytest.raises(ValueError, match="capped at 2 bits, got 3"):
-            maximal_coupling(Distribution.uniform(3), Distribution.uniform(3))
+    @given(dense_pairs())
+    def test_parts_are_the_maximal_coupling(self, pair):
+        p, q = pair
+        c = maximal_coupling(p, q)
+        rows, cols = marginals(c)
+        assert np.abs(rows - p.masses).max() <= 1e-9
+        assert np.abs(cols - q.masses).max() <= 1e-9
+        assert not (c.excess_p * c.excess_q).any()
+        mismatch = maximal_mismatch(p, q)
+        if mismatch < 1.0:
+            assert c.excess_p.sum() == mismatch
+        for part in (c.overlap, c.excess_p, c.excess_q):
+            assert not part.flags.writeable
 
 
 class TestMinMismatchOracle:
@@ -207,17 +208,23 @@ class TestMinMismatchOracle:
             q = random_distribution(rng, 3, zero_outcomes=3)
             delta = statistical_distance(p, q)
             assert min_mismatch_oracle(p, q) == pytest.approx(delta, abs=1e-9)
-            assert mismatch_probability(maximal_coupling(p, q)) == \
+            assert off_diagonal_mass(maximal_coupling(p, q)) == \
                 pytest.approx(delta, abs=1e-9)
 
 
 class TestCouplingInequality:
     def test_distance_lower_bounds_every_mismatch(self):
+        # every joint law couples its own marginals, and mismatches at
+        # least as often as their distance
         rng = np.random.default_rng(59)
         for _ in range(500):
-            c = random_coupling(rng, int(rng.integers(1, 3)))
-            delta = statistical_distance(c.declared_p, c.declared_q)
-            assert delta <= mismatch_probability(c) + 1e-12
+            bits = int(rng.integers(1, 3))
+            weights = rng.random((1 << bits, 1 << bits)) ** 2
+            weights /= weights.sum()
+            delta = statistical_distance(
+                Distribution(bits, weights.sum(axis=1)),
+                Distribution(bits, weights.sum(axis=0)))
+            assert delta <= 1.0 - np.trace(weights) + 1e-12
 
 
 class TestCopyVsChannel:
@@ -358,9 +365,10 @@ class TestMaximalMismatch:
             p = random_distribution(rng, bits, zero_outcomes=1)
             q = random_distribution(rng, bits)
             m = maximal_mismatch(p, q)
-            # the joint's renormalization may move the last bits only
-            assert m == pytest.approx(
-                mismatch_probability(maximal_coupling(p, q)), abs=1e-15)
+            c = maximal_coupling(p, q)
+            assert m == c.excess_p.sum()
+            # sum excess_q differs from sum excess_p by the laws' rounding
+            assert m == pytest.approx(off_diagonal_mass(c), abs=1e-15)
             assert m == pytest.approx(statistical_distance(p, q), abs=1e-15)
 
     def test_spaces_must_agree(self):

@@ -6,6 +6,73 @@ from pathlib import Path
 
 import keysec
 
+# the public API, one name a line, so that adding or removing a name is a
+# reviewed change to this list
+PUBLIC_API = [
+    "AttackReport",
+    "BernoulliSource",
+    "BitString",
+    "ConditionalChannel",
+    "ContradictionReport",
+    "CopyChannelGap",
+    "Coupling",
+    "DensityMatrix",
+    "Distribution",
+    "EfficiencyReport",
+    "FiniteKeyParams",
+    "JointDistribution",
+    "LeakageProfile",
+    "LogProb",
+    "MarkovSource",
+    "NoSolutionError",
+    "PaReport",
+    "Povm",
+    "RateSolution",
+    "SampleSet",
+    "SourceModel",
+    "UniformityReport",
+    "binary_entropy",
+    "block_distribution",
+    "ciphertext_only_attack",
+    "conditional_guessing_probability",
+    "contradiction_report",
+    "copy_vs_channel_gap",
+    "default_rate_params",
+    "empirical_distance",
+    "epsilon_for_security_rate",
+    "extractable_key_length",
+    "guessing_probability",
+    "helstrom_min_error",
+    "identity_seed",
+    "independent_coupling_failure",
+    "kpa_next_bits",
+    "leakage_profile",
+    "load_distribution",
+    "load_matrix",
+    "markov_individual_bound",
+    "maximal_coupling",
+    "maximal_mismatch",
+    "measured_distance",
+    "min_mismatch_oracle",
+    "model_distance_to_uniform",
+    "overlap",
+    "pa_effect_on_guessing",
+    "pipeline_efficiency",
+    "required_epsilon",
+    "sample_blocks",
+    "save_distribution",
+    "save_matrix",
+    "statistical_distance",
+    "toeplitz_hash",
+    "trace_distance_q",
+    "uniformity_failure_report",
+    "yuen_upper_bound",
+]
+
+
+def test_public_api_is_pinned():
+    assert keysec.__all__ == PUBLIC_API
+
 
 def test_all_lists_each_public_name_once():
     assert len(keysec.__all__) == len(set(keysec.__all__))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import keysec
 from helpers import random_distribution, trace_product_batch
@@ -283,7 +285,7 @@ class TestTraceDistance:
         for _ in range(100):
             a, b, c = (random_density(rng, 3) for _ in range(3))
             dab = trace_distance_q(a, b)
-            assert 0.0 <= dab <= 1.0 + 1e-12
+            assert 0.0 <= dab <= 1.0
             assert dab == pytest.approx(trace_distance_q(b, a), abs=1e-12)
             assert trace_distance_q(a, c) <= dab + trace_distance_q(b, c) + 1e-9
             assert trace_distance_q(a, a) <= 1e-9
@@ -327,7 +329,18 @@ class TestHelstrom:
         for _ in range(100):
             a, b = random_density(rng, 3), random_density(rng, 3)
             e = helstrom_min_error(a, b, 0.5)
-            assert -1e-12 <= e <= 0.5 + 1e-12
+            assert 0.0 <= e <= 0.5 + 1e-12
+
+    @given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 0.3]) | st.floats(0, 1))
+    def test_orthogonal_pure_states_stay_in_range(self, dim, seed, prior):
+        # the trace norm of orthogonal states rounds to either side of 2
+        rng = np.random.default_rng(seed)
+        v, w = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        w -= (v.conj() @ w) / (v.conj() @ v) * v
+        rho, sigma = DensityMatrix.pure(v), DensityMatrix.pure(w)
+        assert 0.0 <= trace_distance_q(rho, sigma) <= 1.0
+        assert 0.0 <= helstrom_min_error(rho, sigma, prior) <= 0.5
 
     def test_classical_embedding(self):
         rng = np.random.default_rng(14)
