@@ -28,6 +28,14 @@ GOLDEN_FIRST16 = [190, 41, 71, 88, 9, 222, 56, 205,
 GOLDEN_DELTA_1E6 = 0.00661125
 GOLDEN_SHA256_1E6 = \
     "2e2dfbd647bbf9eefa18ef6e5890d00c39e0e5c5dcd7f087f7a9a9aeb33fc366"
+# 10^6 blocks at seed 42 of two laws with crowded guide buckets, frozen
+# before the word lookup; 114 and 4340 of their outputs fall in one
+GOLDEN_SHA256_CROWDED_1E6 = {
+    "bias_0.4999_16":
+        "5ad4b26aa5e3df2d25db84aba0452f80993527947d9c1999dad70555339e852e",
+    "plateau_10":
+        "40705baa76d92b6ab29cb63f035a2c54f8022fa39c00c71ac63abd8bc7ad642f",
+}
 
 
 MASK64 = (1 << 64) - 1
@@ -336,6 +344,14 @@ class TestSampleBlocks:
         assert digest == GOLDEN_SHA256_1E6
         assert empirical_distance(s) == pytest.approx(GOLDEN_DELTA_1E6,
                                                       abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_CROWDED_1E6))
+    def test_golden_fixture_large_crowded(self, name):
+        model, block_len = {"bias_0.4999_16": (BernoulliSource(0.4999), 16),
+                            "plateau_10": (PLATEAU_MODEL, 10)}[name]
+        s = sample_blocks(model, block_len, 10**6, seed=42)
+        digest = hashlib.sha256(s.values.astype("<i8").tobytes()).hexdigest()
+        assert digest == GOLDEN_SHA256_CROWDED_1E6[name]
 
     def test_lookup_models_cover_plateaus_and_short_cdf(self):
         plateau = block_distribution(PLATEAU_MODEL, 10).masses
