@@ -107,7 +107,8 @@ def block_distribution(model: SourceModel, block_len: int) -> Distribution:
 def _block_law(model: SourceModel, block_len: int) -> Distribution:
     if isinstance(model, BernoulliSource):
         # the Markov chain whose transition rows both equal the initial law
-        p1 = 0.5 + model.bias
+        # float(): a narrow numpy bias would keep the law in its own width
+        p1 = 0.5 + float(model.bias)
         masses = np.array([1.0 - p1, p1])
         trans = np.array([masses, masses])
     else:
@@ -121,21 +122,37 @@ def _block_law(model: SourceModel, block_len: int) -> Distribution:
 
 
 def _sampler_tables(law: Distribution) -> tuple:
-    """(thresholds, guide, crowded) of a block law, each read-only."""
+    """(thresholds, words, crowded) of a block law, each read-only.
+
+    With L the block length, w = 2^(52 - L) and guide g the index of the
+    first threshold above the bucket's base b * w, the word of bucket b is
+    (g * 2^(53 - L) + 2w - min(T[g], (b + 1) * w)) << 11 mod 2^64 (see
+    ``sample_blocks``), and ``crowded`` marks the buckets whose 53-bit
+    range holds two or more thresholds.
+    """
     block_len = law.outcome_bits
     cdf = np.cumsum(law.masses)
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
+    del cdf
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
     n_buckets = 1 << (block_len + 1)
     lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
     edges = np.cumsum(np.bincount(lowest.astype(np.int64),
                                   minlength=n_buckets + 1))
+    del lowest
     crowded = np.diff(edges) > 1
-    guide = edges[:n_buckets].copy()
-    for table in (thresholds, guide, crowded):
+    guide = edges[:n_buckets]  # first threshold above each bucket's base
+    words = np.arange(1, n_buckets + 1, dtype=np.uint64)
+    words <<= np.uint64(shift)  # the next bucket's base, (b + 1) * w
+    np.minimum(words, np.take(thresholds, guide), out=words)
+    np.subtract(np.uint64(2 << shift), words, out=words)
+    guide <<= shift + 1
+    words += guide.view(np.uint64)
+    words <<= np.uint64(11)
+    for table in (thresholds, words, crowded):
         table.flags.writeable = False
-    return thresholds, guide, crowded
+    return thresholds, words, crowded
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,8 @@ class SampleSet:
                 except (OverflowError, TypeError):  # 10**5000, None
                     pass
         if vals is None or (vals is not raw and not np.array_equal(vals, raw)):
+            if raw.dtype.kind == "u":  # a uint64 past the int64 range
+                raise ValueError("block value out of range")
             raise ValueError("block values must be integers")
         if vals.ndim != 1:
             raise ValueError(
@@ -188,21 +207,37 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     which is exactly the float test m * 2^-53 < cdf[j].  The last
     threshold is 2^53, so a CDF that rounds short of 1 misses no m.
 
-    The lookup is a guide table (Chen & Asau 1974) over 2^(block_len+1)
-    equal buckets of the 53-bit range: ``guide[b]`` counts the T[j] at
-    or below the bucket's lowest m, so it is the first outcome any m in
-    bucket b can take.  The block minus guide[b] counts the T[j] inside
-    the bucket that are <= m; when the bucket holds at most one
-    threshold that is 0 or 1, namely [m >= T[guide[b]]], so one
-    comparison settles the block.  The last threshold is 2^53, above
-    every bucket, so guide[b] < 2^block_len and T[guide[b]] exists.
-    Buckets holding two or more thresholds (a skewed law crowds them)
-    are marked in the boolean mask ``crowded``; their outputs at or above
-    T[guide[b]] finish by binary search.  Both find the number of
-    T[j] <= m, so the values do not depend on the lookup.  T, ``guide``
-    and ``crowded`` are built on the first call for a (model, block_len)
-    and kept by the block law (``_sampler_tables``), about 1.6 MiB at 16
-    bits beside the law's 0.5 MiB, so later calls go straight to the loop.
+    The lookup is a guide table (Chen & Asau 1974) folded into one
+    64-bit word per bucket.  Write L = block_len, w = 2^(52 - L) and
+    b = z >> (63 - L) for output z, so m lies in bucket b of the
+    2^(L+1) equal buckets [b * w, (b + 1) * w) of the 53-bit range.  The
+    guide g of bucket b is the number of T[j] <= b * w, the first outcome
+    any m in the bucket can take; when the bucket holds at most one
+    threshold its block is g + [m >= T[g]].  The last threshold is 2^53,
+    above every bucket, so g < 2^L and T[g] exists.  The bucket's word is
+
+        words[b] = (g * 2^(53 - L) + 2w - min(T[g], (b + 1) * w)) << 11
+
+    modulo 2^64, and the block is (words[b] + z) >> (64 - L): one
+    gather, one add and one shift.  It is exact: with r = m - b * w in
+    [0, w) and o = min(T[g], (b + 1) * w) - b * w in [1, w] (T[g] > b * w
+    by the guide's definition), words[b] / 2^11 + m is
+    g * 2^(53 - L) + 2w - o + r, which reaches (g + 1) * 2^(53 - L)
+    exactly when r >= o, that is m >= T[g], and never reaches
+    (g + 2) * 2^(53 - L); the word's 11 low bits are zero, so z's never
+    carry.  It never wraps: that sum is below 2^53, as g <= 2^L - 1 and
+    g = 2^L - 1 has T[g] = 2^53 and so o = w > r, so the exact
+    words[b] + z lies in [0, 2^64) and the uint64 sum modulo 2^64 is it,
+    although a word of a bucket far above its guide's threshold is
+    negative and is held modulo 2^64.
+
+    Buckets holding two or more thresholds (a skewed law crowds them) are
+    marked in the boolean mask ``crowded``, and every output in one is
+    overwritten by binary search.  Both find the number of T[j] <= m, so
+    the values do not depend on the lookup.  T, the words and ``crowded``
+    are built on the first call for a (model, block_len) and kept by the
+    block law (``_sampler_tables``), about 1.6 MiB at 16 bits beside the
+    law's 0.5 MiB, so later calls go straight to the loop.
 
     Blocks are drawn one cache block (``probdist._BLOCK``) at a time
     through ``splitmix64``'s offset, an exact partition of the stream, so
@@ -212,31 +247,28 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     block_len = _integral(block_len, "block_len", 1, BLOCK_LEN_CAP)
     count = _integral(count, "count", 1)
     law = block_distribution(model, block_len)
-    thresholds, guide, crowded = _once(law, "sampler",
+    thresholds, words, crowded = _once(law, "sampler",
                                        lambda: _sampler_tables(law))
-    shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
+    bucket_shift = np.uint64(63 - block_len)  # top block_len + 1 bits
+    block_shift = np.uint64(64 - block_len)
     any_crowded = bool(crowded.any())
     values = np.empty(count, dtype=np.int64)
     width = min(count, _BLOCK)
     bucket = np.empty(width, dtype=np.uint64)
-    split = np.empty(width, dtype=np.uint64)
-    passed = np.empty(width, dtype=bool)
     hit = np.empty(width, dtype=bool)
     for start in range(0, count, _BLOCK):
         n = min(_BLOCK, count - start)
-        chunk = values[start:start + n]
-        top53 = splitmix64(seed, n, start)
-        top53 >>= np.uint64(11)
-        b = np.right_shift(top53, np.uint64(shift), out=bucket[:n])
-        np.take(guide, b, out=chunk, mode="clip")
-        np.take(thresholds, chunk, out=split[:n], mode="clip")
-        chunk += np.greater_equal(top53, split[:n], out=passed[:n])
+        chunk = values[start:start + n].view(np.uint64)
+        z = splitmix64(seed, n, start)
+        # below 2^(block_len + 1), so the int64 view is the same index
+        b = np.right_shift(z, bucket_shift, out=bucket[:n]).view(np.int64)
+        np.take(words, b, out=chunk, mode="clip")
+        chunk += z  # mod 2^64, exact: see the docstring
+        chunk >>= block_shift
         if any_crowded:
-            # below its split an output's block is guide[b], crowded or not
             np.take(crowded, b, out=hit[:n], mode="clip")
-            idx = np.flatnonzero(np.logical_and(hit[:n], passed[:n],
-                                                out=hit[:n]))
-            chunk[idx] = np.searchsorted(thresholds, top53[idx],
+            idx = np.flatnonzero(hit[:n])
+            chunk[idx] = np.searchsorted(thresholds, z[idx] >> np.uint64(11),
                                          side="right")
     return SampleSet(block_len=block_len, values=values, seed=seed)
 
@@ -244,11 +276,12 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
 def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
     """Exact distance of the model's block law from uniform.
 
-    The one-bit iid case is the closed form |bias|, kept exact rather
-    than recovered through lossy 0.5 + bias float round trips.
+    The one-bit iid case is the closed form |bias| as a Python float,
+    kept exact rather than recovered through lossy 0.5 + bias float
+    round trips.
     """
     if isinstance(model, BernoulliSource) and block_len == 1:
-        return abs(model.bias)
+        return abs(float(model.bias))
     return statistical_distance(block_distribution(model, block_len),
                                 Distribution.uniform(block_len))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_peak
@@ -134,6 +134,11 @@ SHORT_CDF_MODEL = (BernoulliSource(0.1), 8)
 PLATEAU_MODEL = MarkovSource(
     transition=ConditionalChannel(1, 1, [[1.0, 0.0], [0.3, 0.7]]),
     initial=Distribution(1, [0.4, 0.6]))
+
+# point masses on the first and the last outcome, zero-mass plateaus, and a
+# law with crowded guide buckets
+WORD_MODELS = [BernoulliSource(-0.5), BernoulliSource(0.5), PLATEAU_MODEL,
+               BernoulliSource(0.4999)]
 
 # random sources of either kind; a Bernoulli bias may be a Fraction, equal
 # to the float it was drawn as (so equal and hashing alike)
@@ -292,6 +297,27 @@ class TestSourceModels:
                          initial=Distribution.uniform(2))
 
 
+class TestNarrowFloatBias:
+    """A numpy float bias narrower than float64 builds a float64 law."""
+
+    @pytest.mark.parametrize("bias, block_len", [
+        (np.float32(0.1), 2), (np.float16(0.25), 8), (np.float32(-0.3), 16)],
+        ids=repr)
+    def test_law_is_that_of_the_float_bias(self, bias, block_len):
+        narrow = block_distribution(BernoulliSource(bias), block_len)
+        wide = block_distribution(BernoulliSource(float(bias)), block_len)
+        assert narrow.masses.dtype == np.float64
+        assert narrow.masses.tobytes() == wide.masses.tobytes()
+        assert sample_blocks(BernoulliSource(bias), block_len, 100, 1).values \
+            .tolist() == sample_blocks(BernoulliSource(float(bias)),
+                                       block_len, 100, 1).values.tolist()
+
+    def test_one_bit_law_is_not_rounded_to_float32(self):
+        law = block_distribution(BernoulliSource(np.float32(0.1)), 1)
+        assert law.masses[1] == 0.5 + float(np.float32(0.1)) \
+            == 0.6000000014901161
+
+
 class TestModelDistance:
     def test_unbiased_zero(self):
         assert model_distance_to_uniform(BernoulliSource(0.0), 8) == 0.0
@@ -300,6 +326,12 @@ class TestModelDistance:
         for bias in (1e-4, 0.25, 0.5, -0.3, 1e-9):
             assert model_distance_to_uniform(BernoulliSource(bias), 1) == \
                 abs(bias)
+
+    @pytest.mark.parametrize("bias", [np.float32(0.1), np.float16(-0.25),
+                                      Fraction(1, 3)], ids=repr)
+    def test_one_bit_is_a_python_float(self, bias):
+        value = model_distance_to_uniform(BernoulliSource(bias), 1)
+        assert type(value) is float and value == abs(float(bias))
 
     def test_eight_bit_small_bias_against_enumeration(self):
         # dense 256-term oracle with independently recomputed block masses
@@ -441,6 +473,59 @@ class TestSampleBlocks:
         assert s.values.tolist() == float_lookup(
             model, block_len, scalar_splitmix64(seed, count))
 
+    @settings(max_examples=20, deadline=None)
+    @given(model=st.one_of(SOURCE_MODELS, st.sampled_from(WORD_MODELS)),
+           block_len=st.integers(1, BLOCK_LEN_CAP))
+    @example(model=BernoulliSource(-0.5), block_len=16)  # all mass on 0
+    @example(model=BernoulliSource(0.5), block_len=16)  # all on the last
+    @example(model=PLATEAU_MODEL, block_len=16)
+    @example(model=BernoulliSource(0.4999), block_len=16)
+    @example(model=BernoulliSource(-0.4999), block_len=1)
+    def test_word_lookup_is_the_threshold_count(self, model, block_len):
+        # every bucket's lowest and highest output and the outputs around
+        # each threshold: outside crowded buckets one word gives the block,
+        # and sample_blocks gives it everywhere
+        thresholds, words, crowded = rngtest._sampler_tables(
+            block_distribution(model, block_len))
+        low = 63 - block_len
+        bases = np.arange(1 << (block_len + 1), dtype=np.uint64) << low
+        tops = (thresholds.astype(np.int64)[:, None] + [-1, 0, 1]).ravel()
+        tops = tops[(tops >= 0) & (tops < 1 << 53)].astype(np.uint64) << 11
+        z = np.concatenate([bases, bases + np.uint64((1 << low) - 1),
+                            tops, tops | np.uint64(2047)])
+        b = (z >> np.uint64(low)).astype(np.int64)
+        expected = np.searchsorted(thresholds, z >> np.uint64(11),
+                                   side="right")
+        plain = ~crowded[b]
+        blocks = (words[b] + z) >> np.uint64(64 - block_len)
+        assert blocks[plain].tolist() == expected[plain].tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rngtest, "splitmix64", lambda seed, count, offset=0:
+                          z[offset:offset + count])
+            assert sample_blocks(model, block_len, len(z), 0).values.tolist() \
+                == expected.tolist()
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=st.one_of(SOURCE_MODELS, st.sampled_from(WORD_MODELS)),
+           block_len=st.integers(1, BLOCK_LEN_CAP))
+    @example(model=BernoulliSource(-0.4999), block_len=16)
+    def test_words_against_integer_definition(self, model, block_len):
+        # word b is (g 2^(53-L) + 2w - min(T[g], (b+1) w)) << 11 modulo 2^64
+        # with g the number of thresholds <= b w; in Python integers, that
+        # word plus any output of bucket b lies in [0, 2^64), so the uint64
+        # sum is exact even where the word itself is negative
+        thresholds, words, _ = rngtest._sampler_tables(
+            block_distribution(model, block_len))
+        t = thresholds.tolist()
+        w, low = 1 << (52 - block_len), 63 - block_len
+        for b, word in enumerate(words.tolist()):
+            g = bisect.bisect_right(t, b * w)
+            exact = ((g << (53 - block_len)) + 2 * w
+                     - min(t[g], (b + 1) * w)) << 11
+            assert word == exact % (1 << 64)
+            assert 0 <= exact + (b << low)
+            assert exact + ((b + 1) << low) - 1 < 1 << 64
+
     def test_peak_memory_is_values_plus_constant(self):
         # values take 8 bytes a block; everything else is per chunk or per
         # outcome (about 2.2 MiB at 16 bits), so the margin does not scale
@@ -577,6 +662,13 @@ class TestSampleSetType:
                 SampleSet(block_len, vals)
         else:
             assert SampleSet(block_len, vals).values.tolist() == vals.tolist()
+
+    @pytest.mark.parametrize("values", [
+        np.array([2**63], dtype=np.uint64),
+        np.array([0, (1 << 64) - 1], dtype=np.uint64)], ids=repr)
+    def test_uint64_past_int64_is_out_of_range(self, values):
+        with pytest.raises(ValueError, match="block value out of range"):
+            SampleSet(4, values)
 
     @pytest.mark.parametrize("values", [[1.7, 2.2], [1, np.nan], [np.inf],
                                         ["1", "2"], [1, None]], ids=repr)
