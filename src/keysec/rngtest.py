@@ -134,13 +134,11 @@ def _sampler_tables(law: Distribution) -> tuple:
     cdf = np.cumsum(law.masses)
     thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
     thresholds[-1] = 1 << 53
-    del cdf
     shift = 52 - block_len  # 53 bits over 2^(block_len + 1) buckets
     n_buckets = 1 << (block_len + 1)
     lowest = (thresholds + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
     edges = np.cumsum(np.bincount(lowest.astype(np.int64),
                                   minlength=n_buckets + 1))
-    del lowest
     crowded = np.diff(edges) > 1
     guide = edges[:n_buckets]  # first threshold above each bucket's base
     words = np.arange(1, n_buckets + 1, dtype=np.uint64)
@@ -225,11 +223,12 @@ def sample_blocks(model: SourceModel, block_len: int, count: int,
     g * 2^(53 - L) + 2w - o + r, which reaches (g + 1) * 2^(53 - L)
     exactly when r >= o, that is m >= T[g], and never reaches
     (g + 2) * 2^(53 - L); the word's 11 low bits are zero, so z's never
-    carry.  It never wraps: that sum is below 2^53, as g <= 2^L - 1 and
-    g = 2^L - 1 has T[g] = 2^53 and so o = w > r, so the exact
-    words[b] + z lies in [0, 2^64) and the uint64 sum modulo 2^64 is it,
-    although a word of a bucket far above its guide's threshold is
-    negative and is held modulo 2^64.
+    carry.  It never wraps: that sum is at least w and below 2^53 (when
+    r >= o, g <= 2^L - 2, since g = 2^L - 1 has T[g] = 2^53 and so
+    o = w > r), so the exact words[b] + z lies in [0, 2^64) and the
+    uint64 sum, taken modulo 2^64, equals it.  A word on its own is
+    negative for a bucket far above its guide's threshold; it is held
+    modulo 2^64.
 
     Buckets holding two or more thresholds (a skewed law crowds them) are
     marked in the boolean mask ``crowded``, and every output in one is

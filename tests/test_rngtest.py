@@ -119,7 +119,7 @@ def scan_steps(model, block_len, outputs):
     The first block is that of the lowest output in the same guide bucket
     (the top block_len + 1 bits), so the float oracle counts the steps
     without the table.  An output with at most one step is resolved by
-    one comparison; more steps mean a crowded bucket, which the lookup
+    its bucket's word; more steps mean a crowded bucket, which the lookup
     finishes by binary search.
     """
     low = 63 - block_len
@@ -237,7 +237,7 @@ class TestBuiltOnce:
         assert kept <= (512 << 10) + (4 << 10)
 
     def test_second_call_peak_is_values_plus_one_mib(self):
-        # the first call builds about 2.1 MiB of tables at 16 bits (see
+        # the first call builds about 1.6 MiB of tables at 16 bits (see
         # test_peak_memory_is_values_plus_constant); a later call reuses
         # them and allocates only the values and one chunk's scratch
         count = 10**6
@@ -433,7 +433,7 @@ class TestSampleBlocks:
     def test_plateau_scan_matches_float_lookup(self, monkeypatch):
         # zero masses repeat a threshold, so an output past a run of equal
         # thresholds passes the whole run: outputs in buckets with at most
-        # one threshold take the one-comparison path, those past a run in
+        # one threshold take the word path, those past a run in
         # one bucket fall back to binary search
         model, block_len = PLATEAU_MODEL, 10
         cdf = np.cumsum(block_distribution(model, block_len).masses)
@@ -528,7 +528,7 @@ class TestSampleBlocks:
 
     def test_peak_memory_is_values_plus_constant(self):
         # values take 8 bytes a block; everything else is per chunk or per
-        # outcome (about 2.2 MiB at 16 bits), so the margin does not scale
+        # outcome (about 2.7 MiB at 16 bits), so the margin does not scale
         count = 10**6
         tracemalloc.start()
         try:
