@@ -17,8 +17,8 @@ from .bounds import (EfficiencyReport, FiniteKeyParams, LeakageProfile,
                      required_epsilon, yuen_upper_bound)
 from .coupling import (ContradictionReport, CopyChannelGap, Coupling,
                        contradiction_report, copy_vs_channel_gap,
-                       independent_coupling_failure, maximal_coupling,
-                       maximal_mismatch, min_mismatch_oracle)
+                       maximal_coupling, maximal_mismatch,
+                       min_mismatch_oracle)
 from .probdist import (ConditionalChannel, Distribution, JointDistribution,
                        conditional_guessing_probability, guessing_probability,
                        load_distribution, save_distribution,
@@ -31,8 +31,8 @@ from .attacks import (AttackReport, PaReport, ciphertext_only_attack,
                       toeplitz_hash)
 from .rngtest import (BernoulliSource, MarkovSource, SampleSet, SourceModel,
                       UniformityReport, block_distribution,
-                      empirical_distance, model_distance_to_uniform,
-                      sample_blocks, uniformity_failure_report)
+                      model_distance_to_uniform, sample_blocks,
+                      uniformity_failure_report)
 
 __version__ = "0.1.0"
 

@@ -9,18 +9,23 @@ from numbers import Real
 MAX_MATERIALIZED_LEN = 2**20
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer of any numeric type (``8.0`` is)."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, 1j
+        return False
+
+
 def _integral(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     """The one integer check: ``value`` as an int in [lo, hi], or ValueError.
 
     Integral values of any numeric type pass (``8.0``, numpy integers);
     NaN, infinities, fractions and non-numbers fail; hi None means no cap.
     """
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+    n = int(value)
     if n < lo or (hi is not None and n > hi):
         upper = "" if hi is None else f" and <= {_shown(hi)}"
         raise ValueError(f"{name} must be >= {lo}{upper}, got {_shown(n)}")
@@ -104,15 +109,6 @@ class BitString:
     def from_index(cls, value: int, length: int) -> BitString:
         return cls(value, length)
 
-    @classmethod
-    def zeros(cls, length: int) -> BitString:
-        return cls(0, length)
-
-    @classmethod
-    def ones(cls, length: int) -> BitString:
-        length = _integral(length, "length", 0, MAX_MATERIALIZED_LEN)
-        return cls((1 << length) - 1, length)
-
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple(map(int, str(self)))
@@ -122,13 +118,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self.length
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        text = str(self)[i]
-        return BitString.from_str(text) if isinstance(i, slice) else int(text)
 
     def __xor__(self, other: BitString) -> BitString:
         if len(self) != len(other):

@@ -100,7 +100,7 @@ def _cmd_coupling(args) -> dict:
     p = _load(probdist.load_distribution, args.p, "distribution")
     if args.contradiction:
         report = coupling.contradiction_report(p)
-        failure = coupling.independent_coupling_failure(p.outcome_bits)
+        failure = bounds.LogProb.one_minus_pow2(p.outcome_bits)
         doc = {"command": "coupling", "mode": "contradiction",
                "p_file": args.p, "outcome_bits": p.outcome_bits,
                "delta_to_uniform": report.delta,

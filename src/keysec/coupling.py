@@ -25,7 +25,7 @@ ORACLE_SUPPORT_CAP = 6
 
 @dataclass(frozen=True)
 class Coupling:
-    """The maximal coupling of ``declared_p`` and ``declared_q``.
+    """The maximal coupling of two laws p and q.
 
     Entry (x, x) is ``overlap[x]`` = min(p(x), q(x)); entry (x, y) with
     x != y is ``excess_p[x] * excess_q[y] / delta``, where excess_p =
@@ -36,8 +36,6 @@ class Coupling:
     three arrays are read-only.
     """
 
-    declared_p: Distribution
-    declared_q: Distribution
     overlap: np.ndarray
     excess_p: np.ndarray
     excess_q: np.ndarray
@@ -68,7 +66,7 @@ def maximal_coupling(p: Distribution, q: Distribution) -> Coupling:
     parts = overlap, a - overlap, b - overlap
     for part in parts:
         part.flags.writeable = False
-    return Coupling(p, q, *parts)
+    return Coupling(*parts)
 
 
 def min_mismatch_oracle(p: Distribution, q: Distribution) -> float:
@@ -122,20 +120,12 @@ def copy_vs_channel_gap(p: Distribution, w: ConditionalChannel) -> CopyChannelGa
         raise ValueError(
             f"input has {p.outcome_bits} bits, channel expects {w.in_bits}")
     a = p.masses
-    copy_joint = np.diag(a)
-    channel_joint = a[:, None] * w.matrix
-    delta_joint = _total_variation(copy_joint.ravel(), channel_joint.ravel())
+    # the channel joint minus the copy joint diag(a), as one 4^l array
+    d = a[:, None] * w.matrix
+    d[np.diag_indices(a.size)] -= a
+    delta_joint = _total_variation(d.ravel(), np.broadcast_to(0.0, (d.size,)))
     mismatch = min(1.0, max(0.0, 1.0 - float((a * np.diag(w.matrix)).sum())))
     return CopyChannelGap(delta_joint=delta_joint, mismatch=mismatch)
-
-
-def independent_coupling_failure(l: int) -> LogProb:
-    """Pr[K != K'] for an independent uniform comparison key: 1 - 2^(-l).
-
-    Independent of the distribution of K, since sum_k P(k) 2^(-l) = 2^(-l)
-    for every P(K).  Kept exact through the complement exponent -l.
-    """
-    return LogProb.one_minus_pow2(l)
 
 
 @dataclass(frozen=True)
@@ -159,6 +149,6 @@ def contradiction_report(p_k: Distribution) -> ContradictionReport:
     uniform = Distribution.uniform(l)
     delta = statistical_distance(p_k, uniform)
     mismatch = maximal_mismatch(p_k, uniform)
-    failure = independent_coupling_failure(l)
+    failure = LogProb.one_minus_pow2(l)
     return ContradictionReport(delta=delta, maximal_mismatch=mismatch,
                                independent_failure=failure.value)

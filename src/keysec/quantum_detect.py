@@ -88,11 +88,6 @@ class DensityMatrix:
         return cls(np.diag(weights.astype(complex)))
 
     @classmethod
-    def maximally_mixed(cls, dim: int) -> DensityMatrix:
-        dim = _integral(dim, "dim", 1, DIM_CAP)
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-    @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> DensityMatrix:
         x, y, z = _numbers([x, y, z], "Bloch vector").tolist()
         if x * x + y * y + z * z > 1.0 + 1e-12:
@@ -119,12 +114,6 @@ class Povm:
             raise ValueError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
         self.dim, self.elements = dim, stack
-
-    @classmethod
-    def computational_basis(cls, dim: int) -> Povm:
-        dim = _integral(dim, "dim", 1, DIM_CAP)
-        eye = np.eye(dim, dtype=complex)
-        return cls([np.outer(eye[i], eye[i]) for i in range(dim)])
 
     def outcome_probabilities(self, rho: DensityMatrix) -> np.ndarray:
         if rho.dim != self.dim:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import _integral, _within
+from .bits import _integral, _is_integer, _within
 from .bounds import LogProb
 from .probdist import (_BLOCK, ConditionalChannel, Distribution, _once,
                        _total_variation, statistical_distance)
@@ -173,9 +173,10 @@ class SampleSet:
                 except (OverflowError, TypeError):  # 10**5000, None
                     pass
         if vals is None or (vals is not raw and not np.array_equal(vals, raw)):
-            if raw.dtype.kind == "u":  # a uint64 past the int64 range
-                raise ValueError("block value out of range")
-            raise ValueError("block values must be integers")
+            # an integer of any type past the int64 range is out of range
+            raise ValueError("block value out of range"
+                             if all(map(_is_integer, raw.ravel().tolist()))
+                             else "block values must be integers")
         if vals.ndim != 1:
             raise ValueError(
                 f"sample values must be 1-D, got shape {vals.shape}")
@@ -283,11 +284,6 @@ def model_distance_to_uniform(model: SourceModel, block_len: int) -> float:
         return abs(float(model.bias))
     return statistical_distance(block_distribution(model, block_len),
                                 Distribution.uniform(block_len))
-
-
-def empirical_distance(s: SampleSet) -> float:
-    """Distance of the observed block frequencies from exact uniform."""
-    return uniformity_failure_report(s).empirical_delta
 
 
 @dataclass(frozen=True)

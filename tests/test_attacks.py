@@ -26,18 +26,18 @@ def toeplitz_matrix_oracle(k_bits, seed, out_len):
 
 
 def hash_oracle(k, seed, out_len):
-    t = toeplitz_matrix_oracle(len(k), list(seed), out_len)
+    t = toeplitz_matrix_oracle(len(k), list(seed.bits), out_len)
     return bitstring((t @ np.array(k.bits)) % 2)
 
 
 class TestOtpEncrypt:
     def test_zero_key_identity(self):
         x = BitString.from_str("10110")
-        assert x ^ BitString.zeros(5) == x
+        assert x ^ BitString(0, 5) == x
 
     def test_self_cancellation(self):
         x = BitString.from_str("10110")
-        assert x ^ x == BitString.zeros(5)
+        assert x ^ x == BitString(0, 5)
 
     def test_bitwise_definition(self):
         c = BitString.from_str("1010") ^ BitString.from_str("0110")
@@ -64,7 +64,7 @@ class TestSpikeDistribution:
         assert guessing_probability(d) == 1.0
 
     def test_distance_example(self):
-        d = Distribution.spike(8, 2.0 ** -4, BitString.zeros(8))
+        d = Distribution.spike(8, 2.0 ** -4, BitString(0, 8))
         total = sum(abs(d.prob(x) - 2.0 ** -8) for x in range(256))
         assert statistical_distance(d, Distribution.uniform(8)) == \
             pytest.approx(0.5 * total, abs=1e-15)
@@ -83,7 +83,7 @@ class TestCiphertextOnlyAttack:
             p_k = Distribution.uniform(l)
             for p_x in (Distribution.uniform(l),
                         Distribution.spike(l, 1.0, 1)):
-                report = ciphertext_only_attack(BitString.zeros(l), p_x, p_k)
+                report = ciphertext_only_attack(BitString(0, l), p_x, p_k)
                 assert report.avg_success == 2.0 ** -l
 
     def test_point_mass_plaintext_posterior(self):
@@ -102,7 +102,7 @@ class TestCiphertextOnlyAttack:
         rng = np.random.default_rng(9)
         p_k = random_distribution(rng, 4)
         p_x = Distribution.spike(4, 1.0, 7)
-        report = ciphertext_only_attack(BitString.zeros(4), p_x, p_k)
+        report = ciphertext_only_attack(BitString(0, 4), p_x, p_k)
         assert report.avg_success == guessing_probability(p_k)
 
     def test_spike_key_enumerated_over_ciphertexts(self):
@@ -110,7 +110,7 @@ class TestCiphertextOnlyAttack:
         # its model probability, and score the best prior key guess
         l = 8
         p_k = Distribution.spike(l, 2.0 ** -4,
-                                 BitString.zeros(l)).expand_dense()
+                                 BitString(0, l)).expand_dense()
         p_x = Distribution.spike(l, 1.0, 3)
         km = p_k.masses
         xm = p_x.masses
@@ -118,7 +118,7 @@ class TestCiphertextOnlyAttack:
         for c in range(1 << l):
             p_c = sum(km[k] * xm[c ^ k] for k in range(1 << l))
             oracle += p_c * km.max()
-        report = ciphertext_only_attack(BitString.zeros(l), p_x, p_k)
+        report = ciphertext_only_attack(BitString(0, l), p_x, p_k)
         assert report.avg_success == pytest.approx(oracle, abs=1e-12)
         assert report.avg_success == pytest.approx(
             2.0 ** -4 + (1 - 2.0 ** -4) * 2.0 ** -8, abs=1e-15)
@@ -140,7 +140,7 @@ class TestCiphertextOnlyAttack:
         for _ in range(50):
             l = int(rng.integers(1, 7))
             report = ciphertext_only_attack(
-                BitString.zeros(l), random_distribution(rng, l),
+                BitString(0, l), random_distribution(rng, l),
                 random_distribution(rng, l))
             assert 2.0 ** -l - 1e-15 <= report.avg_success <= 1.0
 
@@ -173,10 +173,11 @@ class TestKpaNextBits:
         # known bits worth log2(1/eps): the remainder is pinned down to
         # roughly even odds, exact value 1/(2 - 2^-m) plus a 2^-(l-m) sliver
         m, l = 4, 12
-        k_star = BitString.from_str("101100111010")
+        text = "101100111010"
+        k_star = BitString.from_str(text)
         p_k = Distribution.spike(l, 2.0 ** -m, k_star).expand_dense()
-        report = kpa_next_bits(p_k, k_star[:m])
-        assert report.map_guess == k_star[m:]
+        report = kpa_next_bits(p_k, BitString.from_str(text[:m]))
+        assert report.map_guess == BitString.from_str(text[m:])
         eps = 2.0 ** -m
         exact = (eps + (1 - eps) * 2.0 ** -l) / (eps + (1 - eps) * 2.0 ** -m)
         assert report.map_posterior == pytest.approx(exact, abs=1e-12)
@@ -186,10 +187,11 @@ class TestKpaNextBits:
 
     def test_spike_witness_with_extra_known_bits(self):
         m, l = 4, 12
-        k_star = BitString.from_str("101100111010")
+        text = "101100111010"
+        k_star = BitString.from_str(text)
         p_k = Distribution.spike(l, 2.0 ** -m, k_star).expand_dense()
-        report = kpa_next_bits(p_k, k_star[:m + 4])
-        assert report.map_guess == k_star[m + 4:]
+        report = kpa_next_bits(p_k, BitString.from_str(text[:m + 4]))
+        assert report.map_guess == BitString.from_str(text[m + 4:])
         assert report.map_posterior >= 0.9
 
     def test_brute_force_conditionals(self):
@@ -203,9 +205,9 @@ class TestKpaNextBits:
             # oracle: enumerate every key, keep those matching the prefix
             masses = {}
             for k in range(1 << l):
-                key = BitString.from_index(k, l)
-                if key[:m] == prefix:
-                    masses[str(key[m:])] = p_k.prob(k)
+                text = str(BitString.from_index(k, l))
+                if BitString.from_str(text[:m]) == prefix:
+                    masses[text[m:]] = p_k.prob(k)
             total = sum(masses.values())
             best = max(sorted(masses), key=lambda r: masses[r])
             assert report.map_posterior == pytest.approx(
@@ -243,8 +245,8 @@ class TestToeplitzHash:
         assert out == BitString.from_str("")
 
     def test_zero_key(self):
-        out = toeplitz_hash(BitString.zeros(5), BitString.from_str("11011011"), 4)
-        assert out == BitString.zeros(4)
+        out = toeplitz_hash(BitString(0, 5), BitString.from_str("11011011"), 4)
+        assert out == BitString(0, 4)
 
     def test_reference_case_against_matrix_oracle(self):
         k = BitString.from_str("101")
@@ -364,7 +366,7 @@ class TestPaEffect:
             pa_effect_on_guessing(joint, 2, [])
         big = product_joint(Distribution.uniform(11), Distribution.uniform(1))
         with pytest.raises(ValueError, match="capped"):
-            pa_effect_on_guessing(big, 2, [BitString.zeros(12)])
+            pa_effect_on_guessing(big, 2, [BitString(0, 12)])
 
 
 class TestAttackReportInvariants:
@@ -383,7 +385,7 @@ class TestAttackReportInvariants:
         j = JointDistribution(3, 3, joint)
         assert conditional_guessing_probability(j) == pytest.approx(
             guessing_probability(p_k), abs=1e-12)
-        report = ciphertext_only_attack(BitString.zeros(3), p_x, p_k)
+        report = ciphertext_only_attack(BitString(0, 3), p_x, p_k)
         assert report.avg_success == pytest.approx(
             conditional_guessing_probability(j), abs=1e-12)
 

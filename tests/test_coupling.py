@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import product_joint, random_distribution, traced_peak
 from keysec import (ConditionalChannel, ContradictionReport, Distribution,
-                    contradiction_report, copy_vs_channel_gap,
-                    independent_coupling_failure, maximal_coupling,
-                    min_mismatch_oracle, statistical_distance)
+                    LogProb, contradiction_report, copy_vs_channel_gap,
+                    maximal_coupling, min_mismatch_oracle,
+                    statistical_distance)
 from keysec import coupling, maximal_mismatch
 
 
@@ -78,7 +78,7 @@ class TestMismatchProbability:
         u = Distribution.uniform(1)
         joint = product_joint(u, u).masses
         assert joint.sum() - np.trace(joint) == 0.5
-        assert independent_coupling_failure(1).value == 0.5
+        assert LogProb.one_minus_pow2(1).value == 0.5
         assert maximal_mismatch(u, u) == 0.0
 
     def test_maximal_example(self):
@@ -265,6 +265,19 @@ class TestCopyVsChannel:
         gap = copy_vs_channel_gap(Distribution.uniform(1), w)
         assert gap.delta_joint == pytest.approx(gap.mismatch, abs=1e-15)
 
+    def test_peak_is_one_joint(self):
+        # the channel joint minus the copy joint, 8 MiB at 10 bits: the two
+        # joints side by side would be 16 MiB
+        bits = 10
+        rng = np.random.default_rng(bits)
+        p = random_distribution(rng, bits)
+        rows = rng.random((1 << bits, 1 << bits))
+        rows /= rows.sum(axis=1, keepdims=True)
+        w = ConditionalChannel(bits, bits, rows)
+        gap, peak = traced_peak(lambda: copy_vs_channel_gap(p, w))
+        assert peak <= 1.25 * 8 * 4 ** bits
+        assert gap.delta_joint == pytest.approx(gap.mismatch, abs=1e-12)
+
     def test_non_square_rejected(self):
         w = ConditionalChannel(1, 2, np.full((2, 4), 0.25))
         with pytest.raises(ValueError, match="square"):
@@ -279,11 +292,11 @@ class TestCopyVsChannel:
 
 class TestIndependentFailure:
     def test_small_lengths(self):
-        assert independent_coupling_failure(1).value == 0.5
-        assert independent_coupling_failure(4).value == 0.9375
+        assert LogProb.one_minus_pow2(1).value == 0.5
+        assert LogProb.one_minus_pow2(4).value == 0.9375
 
     def test_huge_length_complement_exact(self):
-        lp = independent_coupling_failure(10**4)
+        lp = LogProb.one_minus_pow2(10**4)
         assert lp.log2_complement == -10**4
         assert lp.value == 1.0  # complement itself underflows any float
 
@@ -295,11 +308,11 @@ class TestIndependentFailure:
             p = random_distribution(rng, 4)
             assert float((p.masses * 2.0 ** -4).sum()) == pytest.approx(
                 2.0 ** -4, abs=1e-15)
-        assert independent_coupling_failure(4).value == 1 - 2.0 ** -4
+        assert LogProb.one_minus_pow2(4).value == 1 - 2.0 ** -4
 
     def test_length_validated(self):
         with pytest.raises(ValueError):
-            independent_coupling_failure(0)
+            LogProb.one_minus_pow2(0)
 
 
 class TestContradictionReport:

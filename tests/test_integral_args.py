@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from keysec import (BernoulliSource, BitString, ConditionalChannel,
-                    DensityMatrix, Distribution, FiniteKeyParams,
-                    JointDistribution, LogProb, Povm, SampleSet,
+                    Distribution, FiniteKeyParams,
+                    JointDistribution, LogProb, SampleSet,
                     block_distribution, contradiction_report, identity_seed,
-                    independent_coupling_failure, kpa_next_bits,
-                    leakage_profile,
+                    kpa_next_bits, leakage_profile,
                     markov_individual_bound, model_distance_to_uniform,
                     pa_effect_on_guessing, required_epsilon, sample_blocks,
                     statistical_distance, toeplitz_hash, yuen_upper_bound)
@@ -54,10 +53,8 @@ ENTRY_POINTS = [
      lambda v: BitString.from_index(1, v), 2.0, "length"),
     ("BitString.from_index.value",
      lambda v: BitString.from_index(v, 2), 2.0, "index"),
-    ("BitString.zeros.length", BitString.zeros, 2.0, "length"),
     ("BitString.length", lambda v: BitString(0, v), 2.0, "length"),
     ("BitString.value", lambda v: BitString(v, 2), 2.0, "index"),
-    ("BitString.ones.length", BitString.ones, 2.0, "length"),
     ("splitmix64.seed", lambda v: splitmix64(v, 3), 2.0, "seed"),
     ("splitmix64.count", lambda v: splitmix64(1, v), 2.0, "count"),
     ("splitmix64.offset", lambda v: splitmix64(1, 3, v), 2.0, "offset"),
@@ -78,8 +75,6 @@ ENTRY_POINTS = [
     ("leakage_profile.l",
      lambda v: leakage_profile(v, 0.5), 2.0, "key length"),
     ("LogProb.one_minus_pow2.l", LogProb.one_minus_pow2, 2.0, "key length"),
-    ("independent_coupling_failure.l",
-     independent_coupling_failure, 2.0, "key length"),
     ("FiniteKeyParams.n",
      lambda v: FiniteKeyParams(n=v, q=0.01), 2.0, "block length n"),
     ("toeplitz_hash.out_len",
@@ -88,9 +83,6 @@ ENTRY_POINTS = [
      lambda v: pa_effect_on_guessing(JointDistribution(2, 1, JOINT_2_1), v,
                                      [SEED3]), 2.0, "out_len"),
     ("identity_seed.k_bits", identity_seed, 2.0, "k_bits"),
-    ("DensityMatrix.maximally_mixed.dim",
-     DensityMatrix.maximally_mixed, 2.0, "dim"),
-    ("Povm.computational_basis.dim", Povm.computational_basis, 2.0, "dim"),
 ]
 
 REJECTED = [2.5, math.nan, "2", -1]
@@ -168,7 +160,7 @@ class TestIntegralPolicy:
 
 class TestUpperEnds:
     @pytest.mark.parametrize("call", [
-        BitString.zeros, BitString.ones, lambda v: BitString.from_index(0, v),
+        lambda v: BitString.from_index(0, v),
         pytest.param(lambda v: BitString(0, v), id="BitString"),
         pytest.param(lambda v: BitString.from_str("0" * v), id="from_str")])
     def test_bitstring_length_capped_before_allocating(self, call):
@@ -180,12 +172,6 @@ class TestUpperEnds:
             with pytest.raises(ValueError,
                                match="index must be >= 0 and <= 3"):
                 call(4, 2)
-
-    @pytest.mark.parametrize("dim", [0, 17])
-    def test_dim_outside_one_to_cap(self, dim):
-        for call in (DensityMatrix.maximally_mixed, Povm.computational_basis):
-            with pytest.raises(ValueError, match="dim must be >= 1 and <= 16"):
-                call(dim)
 
     @pytest.mark.parametrize("prefix", ["", "1010"])
     def test_kpa_prefix_shorter_than_key(self, prefix):

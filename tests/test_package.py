@@ -38,13 +38,11 @@ PUBLIC_API = [
     "contradiction_report",
     "copy_vs_channel_gap",
     "default_rate_params",
-    "empirical_distance",
     "epsilon_for_security_rate",
     "extractable_key_length",
     "guessing_probability",
     "helstrom_min_error",
     "identity_seed",
-    "independent_coupling_failure",
     "kpa_next_bits",
     "leakage_profile",
     "load_distribution",

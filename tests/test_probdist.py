@@ -16,8 +16,9 @@ from keysec import (BitString, ConditionalChannel, Distribution,
                     JointDistribution, SampleSet, binary_entropy,
                     ciphertext_only_attack, conditional_guessing_probability,
                     contradiction_report, copy_vs_channel_gap,
-                    empirical_distance, guessing_probability, kpa_next_bits,
-                    maximal_coupling, maximal_mismatch, statistical_distance)
+                    guessing_probability, kpa_next_bits, maximal_coupling,
+                    maximal_mismatch, statistical_distance,
+                    uniformity_failure_report)
 from keysec import probdist
 from keysec.probdist import (_BLOCK, _blockwise_sum, _total_variation,
                              dumps_distribution, loads_distribution)
@@ -403,7 +404,7 @@ class TestGuessingProbability:
 
     def test_map_tie_breaks_to_lowest_index(self):
         # the MAP key under a uniform plaintext is the key law's argmax
-        c, p_x = BitString.zeros(2), Distribution.uniform(2)
+        c, p_x = BitString(0, 2), Distribution.uniform(2)
         d = Distribution(2, [0.25, 0.25, 0.25, 0.25])
         assert ciphertext_only_attack(c, p_x, d).map_guess.to_index() == 0
         d = Distribution(2, [0.2, 0.3, 0.3, 0.2])
@@ -710,7 +711,7 @@ class TestBlockwiseSum:
 
     @pytest.mark.parametrize("r", [1, 7, 8, 10])
     def test_raveled_joints_match_the_2d_sum(self, r):
-        # copy_vs_channel_gap passes its 2^r x 2^r joints raveled
+        # copy_vs_channel_gap passes a 2^r x 2^r joint raveled
         rng = np.random.default_rng(r)
         a, b = rng.random((2, 1 << r, 1 << r))
         for x in (a, 10.0 ** (-300 * a)):
@@ -784,7 +785,7 @@ class TestStreamedKernels:
     def test_empirical_distance_scalar_background(self, block_len):
         rng = np.random.default_rng(block_len)
         s = SampleSet(block_len, rng.integers(0, 1 << block_len, 3 << 16))
-        assert empirical_distance(s) == float(
+        assert uniformity_failure_report(s).empirical_delta == float(
             0.5 * np.abs(s.counts() / s.count - 2.0 ** -block_len).sum())
 
     def test_zero_probability_ciphertext_at_dense_cap(self):

@@ -192,10 +192,10 @@ class TestPovm:
         assert povm.elements[1].tolist() == [[0.5, -1e-12j], [0.0, 0.5]]
 
     def test_elements_are_read_only(self):
-        povm = Povm.computational_basis(2)
+        povm = Povm([np.diag(r) for r in np.eye(2)])
         with pytest.raises(ValueError, match="read-only"):
             povm.elements[0][0, 0] = 5.0
-        assert measured_distance(DensityMatrix.maximally_mixed(2),
+        assert measured_distance(DensityMatrix(np.eye(2) / 2),
                                  DensityMatrix([[1, 0], [0, 0]]), povm) == 0.5
 
     def test_rejects_large_dimension(self):
@@ -208,8 +208,8 @@ class TestPovm:
 
     def test_outcome_probabilities_check_the_state_dimension(self):
         with pytest.raises(ValueError, match="state dim 3 vs POVM dim 2"):
-            Povm.computational_basis(2).outcome_probabilities(
-                DensityMatrix.maximally_mixed(3))
+            Povm([np.diag(r) for r in np.eye(2)]).outcome_probabilities(
+                DensityMatrix(np.eye(3) / 3))
 
     def test_rejects_empty_element(self):
         with pytest.raises(ValueError, match="element dimension must be >= 1"):
@@ -240,7 +240,7 @@ class TestPovm:
 
 
 @pytest.mark.parametrize("value", [
-    DensityMatrix.maximally_mixed(2), Povm.computational_basis(2)],
+    DensityMatrix(np.eye(2) / 2), Povm([np.diag(r) for r in np.eye(2)])],
     ids=["state", "povm"])
 def test_no_attributes_beyond_slots(value):
     with pytest.raises(AttributeError):
@@ -249,16 +249,17 @@ def test_no_attributes_beyond_slots(value):
 
 @pytest.mark.parametrize("fn", [
     lambda r, s: helstrom_min_error(r, s, 0.5),
-    lambda r, s: measured_distance(r, s, Povm.computational_basis(2)),
+    lambda r, s: measured_distance(
+        r, s, Povm([np.diag(row) for row in np.eye(2)])),
     overlap], ids=["helstrom_min_error", "measured_distance", "overlap"])
 def test_dimensions_must_agree(fn):
     with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-        fn(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+        fn(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3))
 
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = DensityMatrix(np.eye(4) / 4)
         assert trace_distance_q(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
@@ -277,8 +278,8 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            trace_distance_q(DensityMatrix.maximally_mixed(2),
-                             DensityMatrix.maximally_mixed(4))
+            trace_distance_q(DensityMatrix(np.eye(2) / 2),
+                             DensityMatrix(np.eye(4) / 4))
 
     def test_metric_properties(self):
         rng = np.random.default_rng(44)
@@ -293,7 +294,7 @@ class TestTraceDistance:
 
 class TestHelstrom:
     def test_identical_states_coin_flip(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         assert helstrom_min_error(rho, rho, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_states_no_error(self):
@@ -309,7 +310,7 @@ class TestHelstrom:
                 0.5 * (1 - trace_distance_q(a, b)), abs=1e-12)
 
     def test_prior_validation(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="prior"):
             helstrom_min_error(rho, rho, 1.2)
 
@@ -362,7 +363,7 @@ class TestMeasuredDistance:
         rng = np.random.default_rng(2)
         p = random_distribution(rng, 2)
         q = random_distribution(rng, 2)
-        m = Povm.computational_basis(4)
+        m = Povm([np.diag(r) for r in np.eye(4)])
         assert measured_distance(DensityMatrix.diagonal(p),
                                  DensityMatrix.diagonal(q), m) == pytest.approx(
             statistical_distance(p, q), abs=1e-12)
@@ -385,7 +386,7 @@ class TestOverlap:
     def test_maximally_mixed_pair(self):
         # the same state twice, yet the overlap is 1/2: this number is not
         # a sameness probability
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = DensityMatrix(np.eye(2) / 2)
         assert overlap(mixed, mixed) == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_states(self):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from helpers import traced_peak
 from keysec import (BernoulliSource, BitString, ConditionalChannel,
                     Distribution, MarkovSource, SampleSet, block_distribution,
-                    empirical_distance, model_distance_to_uniform,
-                    sample_blocks, uniformity_failure_report)
+                    model_distance_to_uniform, sample_blocks,
+                    uniformity_failure_report)
 from keysec import probdist, rngtest
 from keysec.rngtest import BLOCK_LEN_CAP, splitmix64
 
@@ -359,7 +359,7 @@ class TestSampleBlocks:
     def test_degenerate_all_ones(self):
         s = sample_blocks(BernoulliSource(0.5), 4, 100, seed=3)
         assert np.all(s.values == 15)
-        assert all(BitString.from_index(int(v), 4) == BitString.ones(4)
+        assert all(BitString.from_index(int(v), 4) == BitString(15, 4)
                    for v in s.values[:5])
 
     def test_degenerate_all_zeros(self):
@@ -374,8 +374,8 @@ class TestSampleBlocks:
         s = sample_blocks(BernoulliSource(1e-3), 8, 10**6, seed=42)
         digest = hashlib.sha256(s.values.astype("<i8").tobytes()).hexdigest()
         assert digest == GOLDEN_SHA256_1E6
-        assert empirical_distance(s) == pytest.approx(GOLDEN_DELTA_1E6,
-                                                      abs=1e-15)
+        assert uniformity_failure_report(s).empirical_delta == pytest.approx(
+            GOLDEN_DELTA_1E6, abs=1e-15)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_CROWDED_1E6))
     def test_golden_fixture_large_crowded(self, name):
@@ -553,16 +553,18 @@ class TestSampleBlocks:
 class TestEmpiricalDistance:
     def test_single_block_point_mass(self):
         s = SampleSet(1, np.array([1]))
-        assert empirical_distance(s) == 0.5
+        assert uniformity_failure_report(s).empirical_delta == 0.5
 
     def test_sqrt_scaling_in_count(self):
         # unbiased source: E[delta] ~ sqrt(2^L / N); a 16x count increase
         # should shrink it about 4x (50% slack, averaged over 10 seeds)
         model = BernoulliSource(0.0)
-        small = np.mean([empirical_distance(sample_blocks(model, 6, 2_000, s))
-                         for s in range(10)])
-        large = np.mean([empirical_distance(sample_blocks(model, 6, 32_000, s))
-                         for s in range(10)])
+        small = np.mean([uniformity_failure_report(
+            sample_blocks(model, 6, 2_000, s)).empirical_delta
+            for s in range(10)])
+        large = np.mean([uniformity_failure_report(
+            sample_blocks(model, 6, 32_000, s)).empirical_delta
+            for s in range(10)])
         ratio = small / large
         assert 2.0 <= ratio <= 6.0
 
@@ -573,8 +575,8 @@ class TestEmpiricalDistance:
         target = model_distance_to_uniform(model, 4)
 
         def mean_gap(n):
-            return np.mean([abs(empirical_distance(
-                sample_blocks(model, 4, n, seed)) - target)
+            return np.mean([abs(uniformity_failure_report(
+                sample_blocks(model, 4, n, seed)).empirical_delta - target)
                 for seed in range(10)])
 
         small, large = mean_gap(10**3), mean_gap(10**5)
@@ -608,7 +610,7 @@ class TestUniformityReport:
 
     def test_counts_once(self, monkeypatch):
         s = sample_blocks(BernoulliSource(0.1), 4, 4096, 1)
-        expected = (empirical_distance(s),
+        expected = (uniformity_failure_report(s).empirical_delta,
                     bool(np.all(s.counts() == 4096 // 16)))
         calls = []
         counts = SampleSet.counts
@@ -665,8 +667,10 @@ class TestSampleSetType:
 
     @pytest.mark.parametrize("values", [
         np.array([2**63], dtype=np.uint64),
-        np.array([0, (1 << 64) - 1], dtype=np.uint64)], ids=repr)
+        np.array([0, (1 << 64) - 1], dtype=np.uint64),
+        [1, 2**63], [2.0**63], [1, 2**64]], ids=repr)
     def test_uint64_past_int64_is_out_of_range(self, values):
+        # read as float64, as float64, and as an object array
         with pytest.raises(ValueError, match="block value out of range"):
             SampleSet(4, values)
 
