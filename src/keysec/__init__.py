@@ -9,8 +9,8 @@ together.
 from types import ModuleType as _ModuleType
 
 from .bits import BitString
-from .bounds import (EfficiencyReport, FiniteKeyParams, LeakageProfile,
-                     LogProb, NoSolutionError, RateSolution, binary_entropy,
+from .bounds import (FiniteKeyParams, LeakageProfile, LogProb,
+                     NoSolutionError, RateSolution, binary_entropy,
                      default_rate_params, epsilon_for_security_rate,
                      extractable_key_length, leakage_profile,
                      markov_individual_bound, pipeline_efficiency,

@@ -152,23 +152,16 @@ def required_epsilon(l: int) -> LogProb:
     return LogProb.from_log2(float(-l))
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    ratio: float
-    inverted: bool  # key rate exceeded raw rate; ratio > 1 is suspicious
-
-
-def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> EfficiencyReport:
+def pipeline_efficiency(raw_rate_bps: float, key_rate_bps: float) -> float:
     """Fraction of transmitted raw bits that survive as final key bits.
 
-    A quotient past the float range (a raw rate of 5e-324 bps) saturates
-    at the largest float, so the ratio stays finite and inverted.
+    Above 1 is suspicious: the key outran the raw bits.  A quotient past
+    the float range (raw rate 5e-324 bps) saturates at the largest float.
     """
     _within(raw_rate_bps, "raw_rate_bps", 0, math.inf, "()")
     _within(key_rate_bps, "key_rate_bps", 0, math.inf, "()")
     # Python floats overflow to inf without the warning of numpy scalars
-    ratio = min(float(key_rate_bps) / float(raw_rate_bps), sys.float_info.max)
-    return EfficiencyReport(ratio=ratio, inverted=ratio > 1.0)
+    return min(float(key_rate_bps) / float(raw_rate_bps), sys.float_info.max)
 
 
 @dataclass(frozen=True)

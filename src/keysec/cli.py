@@ -231,10 +231,9 @@ def _cmd_report(args) -> dict:
     doc["leaked_bits"] = leak.leaked_bits
     doc.update(_prob_fields("required_epsilon", bounds.required_epsilon(l)))
 
-    eff = bounds.pipeline_efficiency(50e9, 300e3)
     doc["pipeline_raw_bps"] = 50e9
     doc["pipeline_key_bps"] = 300e3
-    doc["pipeline_efficiency"] = eff.ratio
+    doc["pipeline_efficiency"] = bounds.pipeline_efficiency(50e9, 300e3)
 
     spike = probdist.Distribution.spike(4, 0.1, BitString.from_str("1010"))
     contra = coupling.contradiction_report(spike)

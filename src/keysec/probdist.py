@@ -64,17 +64,21 @@ def _mass_array(masses, *sides) -> tuple:
 
 def _validated_masses(arr: np.ndarray) -> np.ndarray:
     # every row along the last axis a law, checked in one pass and, as arr
-    # is a private copy, renormalized in place; a NaN mass fails min() >= 0
+    # is a private copy, divided in place; a NaN mass fails min() >= 0
     if not arr.min() >= 0:
         raise ValueError("negative or NaN probability mass")
     with np.errstate(over="ignore"):  # huge masses sum to inf, refused below
         totals = arr.sum(axis=-1, keepdims=True)
-    bad = totals[np.abs(totals - 1.0) > SUM_TOLERANCE]
+    gap = np.abs(totals - 1.0)
+    bad = totals[gap > SUM_TOLERANCE]
     if bad.size:
         raise ValueError(f"masses sum to {bad.item(0)!r}, "
                          f"outside 1 +- {SUM_TOLERANCE}")
-    if (totals != 1.0).any():
-        arr /= totals  # a row totalling 1.0 keeps its masses bit for bit
+    # a row within n 2^-53 of 1 (n its length) is kept as given, so a law
+    # built or read once passes through again unchanged
+    off = gap > arr.shape[-1] * 2.0 ** -53
+    if off.any():
+        arr /= np.where(off, totals, 1.0)
     return arr
 
 
@@ -82,12 +86,13 @@ class Distribution:
     """Probability mass function over bitstrings of a fixed length.
 
     Dense form stores one float per outcome; the constructor rejects
-    negative or NaN masses and totals off by more than 1e-9, and renormalizes
-    smaller deviations.  Spike form stores (spike outcome, eps) and
-    represents eps * point(outcome) + (1 - eps) * uniform, so the uniform
-    law is the eps = 0 spike; its lookups are computed with the exact
-    expressions used by ``expand_dense``, so both forms answer ``prob``
-    identically bit for bit.
+    negative or NaN masses and totals off by more than 1e-9, divides
+    masses whose total is more than n 2^-53 from 1 (n outcomes) by it, and
+    stores masses within that window as given.  Spike form stores (spike
+    outcome, eps) and represents eps * point(outcome) + (1 - eps) * uniform,
+    so the uniform law is the eps = 0 spike; its lookups are computed with
+    the exact expressions used by ``expand_dense``, so both forms answer
+    ``prob`` identically bit for bit.
 
     As its masses are read-only, a dense law computes its maximum mass and
     ``statistical_distance(self, uniform)`` on the first query and keeps
@@ -121,12 +126,7 @@ class Distribution:
         outcome_bits = _integral(outcome_bits, "outcome_bits", 0,
                                  MAX_EXACT_LEN)
         idx = _outcome_index(outcome, outcome_bits)
-        self = object.__new__(cls)
-        self.outcome_bits = outcome_bits
-        self._dense = None
-        self._spike = (idx, float(epsilon))
-        self._memo = {}
-        return self
+        return _law(outcome_bits, spike=(idx, float(epsilon)))
 
     @classmethod
     def uniform(cls, outcome_bits: int) -> Distribution:
@@ -135,18 +135,8 @@ class Distribution:
     # -- queries ---------------------------------------------------------
 
     @property
-    def is_spike(self) -> bool:
-        return self._spike is not None
-
-    @property
     def n_outcomes(self) -> int:
         return 1 << self.outcome_bits
-
-    @property
-    def spike_params(self) -> tuple[int, float]:
-        if self._spike is None:
-            raise ValueError("not in spike form")
-        return self._spike
 
     def prob(self, outcome) -> float:
         idx = _outcome_index(outcome, self.outcome_bits)
@@ -182,10 +172,7 @@ class Distribution:
             arr = np.broadcast_to(background, (self.n_outcomes,))
         arr.flags.writeable = False
         # not renormalized, so lookups stay bit-identical to the spike form
-        dense = object.__new__(Distribution)
-        dense.outcome_bits = self.outcome_bits
-        dense._dense, dense._spike, dense._memo = arr, None, {}
-        return dense
+        return _law(self.outcome_bits, dense=arr)
 
     def support_size(self) -> int:
         if self._spike is None:
@@ -198,6 +185,14 @@ class Distribution:
             idx, eps = self._spike
             return f"Distribution.spike({self.outcome_bits}, {eps}, {idx})"
         return f"Distribution({self.outcome_bits}, <{self.n_outcomes} masses>)"
+
+
+def _law(outcome_bits: int, dense=None, spike=None) -> Distribution:
+    # the one builder that skips validation: a law from parts known valid
+    law = object.__new__(Distribution)
+    law.outcome_bits, law._dense, law._spike, law._memo = (
+        outcome_bits, dense, spike, {})
+    return law
 
 
 class JointDistribution:
@@ -259,7 +254,7 @@ def _once(owner, key, compute):
 def statistical_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance (1/2) sum_x |p(x) - q(x)|."""
     _check_same_space(p, q)
-    if p.is_spike and q.is_spike:
+    if p._spike is not None and q._spike is not None:
         return _spike_pair_distance(p, q)
     if _is_uniform(q):  # so p is dense
         return _once(p, "distance",
@@ -318,7 +313,7 @@ def _spike_pair_distance(p: Distribution, q: Distribution) -> float:
 
 def _excess(p: Distribution, q: Distribution) -> float:
     """sum_x (p(x) - q(x))^+, the off-diagonal mass of the maximal coupling."""
-    if p.is_spike and q.is_spike:
+    if p._spike is not None and q._spike is not None:
         return _spike_pair_distance(p, q)  # that same sum, in closed form
     return _difference_sum(p.masses, q.masses,
                            lambda d, out: np.maximum(d, 0.0, out=out))
@@ -354,8 +349,8 @@ def _fmt(x: float) -> str:
 
 
 def dumps_distribution(dist: Distribution) -> str:
-    if dist.is_spike:
-        idx, eps = dist.spike_params
+    if dist._spike is not None:
+        idx, eps = dist._spike
         # idx's bits below a leading 1, so the 0-bit spike's literal is ""
         outcome = format(idx | (1 << dist.outcome_bits), "b")[1:]
         return ('{\n  "outcome_bits": %d,\n  "spike": {"outcome": "%s", '

@@ -57,7 +57,7 @@ def test_criterion_01_headline_numbers():
 
 
 def test_criterion_02_pipeline_efficiency():
-    value = pipeline_efficiency(5e10, 3e5).ratio
+    value = pipeline_efficiency(5e10, 3e5)
     report(2, value == 6e-6, f"pipeline efficiency {value!r} == 6e-06 exactly")
 
 

@@ -145,14 +145,18 @@ class TestCiphertextOnlyAttack:
             assert 2.0 ** -l - 1e-15 <= report.avg_success <= 1.0
 
     def test_near_tie_picks_larger_mass(self):
-        # keys 000 and 001 carry adjacent floats; dividing the row by
-        # P(c) = (1 + 2^-52) / 8 rounds both to 0.1875, so a normalized
-        # argmax would fall on 000
-        p_k = Distribution(3, [0.1875, 0.18750000000000003,
-                               0.15690254065262163, 0.16170405533354798,
-                               0.10136371519780209, 0.01949441874766889,
-                               0.045771368524677274, 0.13976390154368207])
+        # keys 000 and 001 carry adjacent floats just below 1/4; the law
+        # totals 1 - 3 2^-53, inside the constructor's 8 2^-53 window, so
+        # it is stored as given, and dividing the row by P(c) = (1 -
+        # 3 2^-53) / 8 lifts both to 0.25000000000000006, where floats are
+        # twice as far apart, so a normalized argmax would fall on 000
+        given = [0.24999999999999994, 0.24999999999999997,
+                 0.019176745793575808, 0.053021588390067105,
+                 0.17940439168987637, 0.1303453816142324,
+                 0.021075290097236462, 0.09697660241501169]
+        p_k = Distribution(3, given)
         masses = p_k.masses
+        assert masses.tolist() == given and masses.sum() == 1 - 3 * 2.0 ** -53
         assert masses[0] < masses[1]
         assert masses[0] / masses.sum() == masses[1] / masses.sum()
         for c in range(8):

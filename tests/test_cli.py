@@ -125,7 +125,7 @@ class TestCouplingCommand:
         expansions = []
 
         def counting(self):
-            if self.is_spike:
+            if repr(self).startswith("Distribution.spike("):
                 expansions.append(self.outcome_bits)
             return expand(self)
 

@@ -349,7 +349,7 @@ class TestContradictionReport:
         expansions = []
 
         def counting(self):
-            if self.is_spike:
+            if repr(self).startswith("Distribution.spike("):
                 expansions.append(self.outcome_bits)
             return expand(self)
 
